@@ -80,20 +80,16 @@ def emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_cell(value: Any) -> Any:
-    # trial-factor sized integers stay strings in JSON so consumers that
-    # read numbers as doubles cannot corrupt them
-    return value
-
-
 def emit_json(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     if not rows:
         raise ValidationError("refusing to emit an empty table")
-    objs = [dict(zip(header, (_json_cell(v) for v in row))) for row in rows]
+    objs = [dict(zip(header, row)) for row in rows]
     return json.dumps(objs, indent=2) + "\n"
 
 
 def _result_cells(r: ResultRow) -> list[Any]:
+    # trial-factor sized integers stay strings in JSON so consumers that
+    # read numbers as doubles cannot corrupt them
     return [str(r.l), r.eps, r.magnitude, r.trial_class, r.seed, r.term_count]
 
 
@@ -170,29 +166,22 @@ def _strategy_from(args: argparse.Namespace) -> SumSpec:
             "exactly one strategy: --truncation M, or --count K with --m-max, "
             "or --complete"
         )
-    if args.truncation is not None:
-        if args.truncation < 0:
-            raise ValidationError(f"--truncation: must be >= 0, got {args.truncation}")
-        return SumSpec(FullTruncation(args.truncation), args.order)
-    if args.complete:
-        if args.order != 2:
-            raise ValidationError("--complete: complete sums exist only at --order 2")
-        return SumSpec(Complete(), args.order)
-    if args.count is None or args.m_max is None:
-        raise ValidationError("randomized strategy needs both --count and --m-max")
-    if args.count < 1:
-        raise ValidationError(f"--count: must be >= 1, got {args.count}")
-    if args.m_max < 0:
-        raise ValidationError(f"--m-max: must be >= 0, got {args.m_max}")
-    if args.count > args.m_max + 1:
-        raise ValidationError(
-            f"--count: {args.count} distinct values cannot come from 0..{args.m_max}"
-        )
-    return SumSpec(Randomized(args.count, args.m_max, args.seed), args.order)
+    try:
+        if args.truncation is not None:
+            strategy = FullTruncation(args.truncation)
+        elif args.complete:
+            strategy = Complete()
+        elif args.count is None or args.m_max is None:
+            raise ValidationError("randomized strategy needs both --count and --m-max")
+        else:
+            strategy = Randomized(args.count, args.m_max, args.seed)
+        return SumSpec(strategy, args.order)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def _spec_seed(spec: SumSpec) -> int | None:
-    return spec.strategy.seed if isinstance(spec.strategy, Randomized) else None
+    return getattr(spec.strategy, "seed", None)
 
 
 def _trial_to_row(trial: ghost.ClassifiedTrial) -> ResultRow:
@@ -320,11 +309,17 @@ def _run_classify(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
     return RESULT_HEADER, [_result_cells(_trial_to_row(trial))]
 
 
-def _run_suppression(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+def _check_study_flags(args: argparse.Namespace) -> None:
     if args.order < 2:
         raise ValidationError(f"--order: must be >= 2, got {args.order}")
     if args.m_cap < 1:
         raise ValidationError(f"--m-cap: must be >= 1, got {args.m_cap}")
+    if not math.isfinite(args.threshold):
+        raise ValidationError(f"--threshold: must be finite, got {args.threshold}")
+
+
+def _run_suppression(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+    _check_study_flags(args)
     required = ghost.min_suppression_M(
         args.epsilon, args.order, args.threshold, args.m_cap
     )
@@ -333,8 +328,7 @@ def _run_suppression(args: argparse.Namespace) -> tuple[list[str], list[list[Any
 
 
 def _run_scaling(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
-    if args.order < 2:
-        raise ValidationError(f"--order: must be >= 2, got {args.order}")
+    _check_study_flags(args)
     cases = []
     for text in args.case:
         parts = text.split(":")
@@ -376,7 +370,6 @@ def _run_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
             n_value,
             l,
         )
-        term_count = len(spinsim.PulseSequence.from_sum_spec(n_value, l, spec, args.theta))
         rows.append(
             [
                 str(l),
@@ -385,7 +378,7 @@ def _run_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
                 reading.my,
                 reading.transverse_magnitude,
                 reading.normalized_signal,
-                term_count,
+                len(spec.strategy.terms(l)),
             ]
         )
     return header, rows

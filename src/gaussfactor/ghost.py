@@ -15,8 +15,8 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .numtheory import Epsilon, epsilon, is_factor
-from .rng import sample_without_replacement
 from .sums import (
+    Randomized,
     SumSpec,
     SumValue,
     evaluate,
@@ -166,12 +166,17 @@ def scaling_study(
         raise ValueError("scaling study needs at least one (N, window) case")
     if n < 2:
         raise ValueError(f"sum order must be >= 2, got {n}")
+    if m_cap < 1:
+        raise ValueError(f"m_cap must be >= 1, got {m_cap}")
     rows: list[ScalingRow] = []
     for N, (l_min, l_max) in cases:
         if not 2 <= l_min <= l_max:
             raise ValueError(f"invalid window [{l_min}, {l_max}]")
         nonfactors = [l for l in range(l_min, l_max + 1) if not is_factor(N, l)]
-        root = N ** (1 / (2 * n))
+        try:
+            root = N ** (1 / (2 * n))
+        except OverflowError:
+            raise ValueError(f"root_2n of N={N} overflows a float") from None
         if not nonfactors:
             rows.append(ScalingRow(N, (l_min, l_max), 0.0, 0, root))
             continue
@@ -206,8 +211,8 @@ def randomized_success_fraction(
 ) -> float:
     """Fraction of seeds whose scan shows no non-factor above threshold.
 
-    Each seed draws one m-set shared by every trial factor in the window,
-    mirroring how a seeded scan evaluates.  A seed succeeds when every
+    Each seed draws one m-set shared by every trial factor in the window and
+    evaluates it exactly as a seeded scan does.  A seed succeeds when every
     non-factor magnitude stays at or below threshold (plus the ghost slack).
     """
     if not 2 <= l_min <= l_max:
@@ -220,18 +225,9 @@ def randomized_success_fraction(
         return 1.0
     successes = 0
     for seed in seed_list:
-        ms = sample_without_replacement(count, m_max, seed)
-        ok = True
-        for l in nonfactors:
-            t = N % l
-            re = im = 0.0
-            for m in ms:
-                ph = math.tau * ((pow(m, n, l) * t) % l / l)
-                re += math.cos(ph)
-                im += math.sin(ph)
-            if math.hypot(re, im) / count > threshold + GHOST_SLACK:
-                ok = False
-                break
-        if ok:
+        spec = SumSpec(Randomized(count, m_max, seed), n)
+        if not any(
+            evaluate(N, l, spec).magnitude > threshold + GHOST_SLACK for l in nonfactors
+        ):
             successes += 1
     return successes / len(seed_list)

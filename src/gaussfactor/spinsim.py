@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import phase_fraction
-from .rng import sample_without_replacement
-from .sums import Complete, FullTruncation, Randomized, SumSpec, evaluate
+from .sums import SumSpec, _residue_phases, evaluate
 
 __all__ = [
     "SIGMA_X",
@@ -80,23 +78,12 @@ class PulseSequence:
     def from_sum_spec(cls, N: int, l: int, spec: SumSpec, theta: float) -> "PulseSequence":
         """Pulse train whose m-th phase is 2*pi*frac(m**n * N / l).
 
-        Full truncation walks m = 0..M, the complete strategy walks every
-        residue, and the randomized strategy keeps the seeded draw order.
+        One pulse per term of the strategy, in its order: m = 0..M for full
+        truncation, every residue for the complete sum, and the seeded draw
+        order for the randomized strategy.
         """
-        s = spec.strategy
-        if isinstance(s, FullTruncation):
-            ms = range(s.truncation + 1)
-        elif isinstance(s, Complete):
-            ms = range(l)
-        elif isinstance(s, Randomized):
-            ms = sample_without_replacement(s.count, s.m_max, s.seed)
-        else:
-            raise ValueError(f"unknown strategy {s!r}")
-        pulses = tuple(
-            PulseSpec(theta, math.tau * phase_fraction(m, spec.order, N, l).as_real)
-            for m in ms
-        )
-        return cls(pulses)
+        phases = _residue_phases(N, l, spec.order, spec.strategy.terms(l))
+        return cls(tuple(PulseSpec(theta, phase) for phase in phases))
 
 
 class SpinState:
@@ -180,15 +167,6 @@ class MagnetizationReading:
             )
 
 
-def _term_count(spec: SumSpec, l: int) -> int:
-    s = spec.strategy
-    if isinstance(s, FullTruncation):
-        return s.truncation + 1
-    if isinstance(s, Complete):
-        return l
-    return s.count
-
-
 def simulate_experiment(
     N: int, l: int, spec: SumSpec, theta: float
 ) -> MagnetizationReading:
@@ -201,8 +179,7 @@ def simulate_experiment(
     """
     if not theta > 0:
         raise ValueError(f"flip angle must be positive, got {theta}")
-    tc = _term_count(spec, l)
-    total = theta * tc
+    total = theta * len(spec.strategy.terms(l))
     if total > math.pi / 2:
         raise ValueError(
             f"total flip angle {total:.4f} exceeds pi/2; "

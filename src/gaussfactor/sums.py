@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import fsum
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -55,10 +56,23 @@ class FullTruncation:
         if self.truncation < 0:
             raise ValueError(f"truncation must be >= 0, got {self.truncation}")
 
+    def terms(self, l: int) -> range:
+        """m = 0..truncation, whatever l."""
+        return range(self.truncation + 1)
+
 
 @dataclass(frozen=True)
 class Complete:
     """All residues m = 0..l-1, the complete Gauss sum."""
+
+    def terms(self, l: int) -> range:
+        """Every residue of l; refuses l above COMPLETE_SUM_CAP."""
+        if l > COMPLETE_SUM_CAP:
+            raise ValueError(
+                f"complete sum over l={l} exceeds the cap {COMPLETE_SUM_CAP}; "
+                "pass allow_large=True to force it"
+            )
+        return range(l)
 
 
 @dataclass(frozen=True)
@@ -78,6 +92,15 @@ class Randomized:
             raise ValueError(
                 f"count {self.count} exceeds the {self.m_max + 1} available values"
             )
+
+    @cached_property
+    def _ms(self) -> tuple[int, ...]:
+        # not a field, so eq, hash and repr see only (count, m_max, seed)
+        return tuple(sample_without_replacement(self.count, self.m_max, self.seed))
+
+    def terms(self, l: int) -> tuple[int, ...]:
+        """The seeded m-set in draw order, drawn once per instance for every l."""
+        return self._ms
 
 
 Strategy = Union[FullTruncation, Complete, Randomized]
@@ -121,20 +144,29 @@ class SumValue:
         return math.hypot(self.real_part, self.imag_part)
 
 
-def _mean_of_phases(phases: Iterator[float], count: int) -> SumValue:
-    """Mean of exp(i*phase) over reduced phases, compensated per component."""
-    re: list[float] = []
-    im: list[float] = []
-    for ph in phases:
-        re.append(math.cos(ph))
-        im.append(math.sin(ph))
-    return SumValue(fsum(re) / count, fsum(im) / count, count)
+def _mean_of_phases(phases: Iterable[float], count: int) -> SumValue:
+    """Mean of exp(i*phase) over reduced phases, fsum per component."""
+    ph = list(phases)
+    return SumValue(
+        fsum(map(math.cos, ph)) / count, fsum(map(math.sin, ph)) / count, count
+    )
 
 
-def _reduced_phase(m: int, n: int, t: int, l: int) -> float:
-    # t is N mod l, already reduced by the caller; the integer-over-integer
-    # division happens first so nothing larger than tau ever meets a float
-    return math.tau * (((pow(m, n, l) * t) % l) / l)
+def _residue_phases(N: int, l: int, n: int, ms: Iterable[int]) -> Iterator[float]:
+    """The phases 2*pi*frac(m**n * N / l) for m in ms, in order.
+
+    This is the one place a residue phase is computed.  N, l and n are
+    checked before the first phase is asked for.
+    """
+    phase_fraction(0, n, N, l)  # validates N, l, n
+    t = N % l
+    # the integer-over-integer division happens first so nothing larger
+    # than tau ever meets a float
+    return (math.tau * ((pow(m, n, l) * t) % l / l) for m in ms)
+
+
+def _residue_mean(N: int, l: int, n: int, ms: Sequence[int]) -> SumValue:
+    return _mean_of_phases(_residue_phases(N, l, n, ms), len(ms))
 
 
 def complete_gauss_sum(N: int, l: int, *, allow_large: bool = False) -> SumValue:
@@ -142,27 +174,13 @@ def complete_gauss_sum(N: int, l: int, *, allow_large: bool = False) -> SumValue
 
     O(l) work; refuses l above COMPLETE_SUM_CAP unless allow_large is set.
     """
-    fr = phase_fraction(0, 2, N, l)  # validates N, l
-    if l > COMPLETE_SUM_CAP and not allow_large:
-        raise ValueError(
-            f"complete sum over l={l} exceeds the cap {COMPLETE_SUM_CAP}; "
-            "pass allow_large=True to force it"
-        )
-    t = N % l
-    return _mean_of_phases(
-        (_reduced_phase(m, 2, t, l) for m in range(l)), l
-    )
+    ms = range(l) if allow_large else Complete().terms(l)
+    return _residue_mean(N, l, 2, ms)
 
 
 def truncated_sum(N: int, l: int, n: int, M: int) -> SumValue:
     """Order-n exponential sum truncated at M: mean over m = 0..M."""
-    phase_fraction(0, n, N, l)  # validates N, l, n
-    if M < 0:
-        raise ValueError(f"truncation must be >= 0, got {M}")
-    t = N % l
-    return _mean_of_phases(
-        (_reduced_phase(m, n, t, l) for m in range(M + 1)), M + 1
-    )
+    return _residue_mean(N, l, n, FullTruncation(M).terms(l))
 
 
 def _curlicue_ratio(eps: float) -> tuple[int, int]:
@@ -207,12 +225,7 @@ def randomized_sum(
     Identical (seed, count, m_max) give an identical m-set and hence a
     bit-identical result.
     """
-    phase_fraction(0, n, N, l)  # validates N, l, n
-    ms = sample_without_replacement(count, m_max, seed)
-    t = N % l
-    return _mean_of_phases(
-        (_reduced_phase(m, n, t, l) for m in ms), count
-    )
+    return _residue_mean(N, l, n, Randomized(count, m_max, seed).terms(l))
 
 
 def curlicue_equivalence_check(N: int, l: int, n: int, M: int) -> bool:
@@ -234,12 +247,7 @@ def curlicue_equivalence_check(N: int, l: int, n: int, M: int) -> bool:
 
 def evaluate(N: int, l: int, spec: SumSpec) -> SumValue:
     """Evaluate the sum a SumSpec describes at trial factor l."""
-    s = spec.strategy
-    if isinstance(s, FullTruncation):
-        return truncated_sum(N, l, spec.order, s.truncation)
-    if isinstance(s, Complete):
-        return complete_gauss_sum(N, l)
-    return randomized_sum(N, l, spec.order, s.count, s.m_max, s.seed)
+    return _residue_mean(N, l, spec.order, spec.strategy.terms(l))
 
 
 def residue_magnitudes(l: int, n: int, M: int) -> np.ndarray:

@@ -18,6 +18,20 @@ from gaussfactor.ghost import GHOST_THRESHOLD
 N12 = "1689259081189"
 N17 = "32193216510801043"
 
+# the three subcommands that take strategy flags, with everything else valid
+STRATEGY_COMMANDS = {
+    "scan": ("scan", "--n", N12),
+    "classify": ("classify", "--n", N12, "--l", "1299711"),
+    "simulate": ("simulate", "--n", N12, "--l", "1299711", "--theta", "0.0025"),
+}
+BAD_STRATEGY_FLAGS = [
+    ("--truncation", "19", "--order", "1"),
+    ("--truncation", "-1"),
+    ("--count", "0", "--m-max", "5"),
+    ("--count", "11", "--m-max", "9"),
+    ("--complete", "--order", "3"),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -169,6 +183,35 @@ class TestSuppressionAndScaling:
         assert code == 1
         assert "--case" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("suppression", "--epsilon", "0.01", "--threshold", "inf"),
+            ("suppression", "--epsilon", "0.01", "--threshold", "nan"),
+            ("scaling", "--case", "10403:2:101", "--threshold", "nan"),
+            ("scaling", "--case", "10403:2:101", "--threshold", "inf"),
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_threshold_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "--threshold" in err
+
+    @pytest.mark.parametrize("m_cap", ["-1", "0"])
+    def test_scaling_cap_must_be_positive(self, capsys, m_cap):
+        code, out, err = run(capsys, "scaling", "--case", "10403:2:101", "--m-cap", m_cap)
+        assert code == 1
+        assert out == ""
+        assert "--m-cap" in err
+
+    def test_scaling_target_past_float_range_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "scaling", "--case", f"{10**309}:2:3")
+        assert code == 3
+        assert out == ""
+        assert f"N={10**309}" in err
+
 
 class TestSimulate:
     def test_factor_normalized_signal(self, capsys):
@@ -214,6 +257,15 @@ class TestExitCodes:
             capsys, "scan", "--n", N12, "--truncation", "19", "--window", "5:4"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("flags", BAD_STRATEGY_FLAGS, ids=" ".join)
+    @pytest.mark.parametrize("command", sorted(STRATEGY_COMMANDS))
+    def test_bad_strategy_flags_are_validation_errors(self, capsys, command, flags):
+        code, out, err = run(capsys, *STRATEGY_COMMANDS[command], *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_complete_sum_cap_is_a_domain_error(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "10", "--l", "10000001", "--complete")

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import gaussfactor.sums as sums
 from gaussfactor import (
     Complete,
     FullTruncation,
@@ -166,6 +167,20 @@ class TestScanWindow:
         b = scan_window(N_TWELVE_DIGIT, *WINDOW_TWELVE_DIGIT, spec)
         assert a == b
 
+    def test_randomized_scan_draws_its_m_set_once(self, monkeypatch):
+        draws = []
+        real = sums.sample_without_replacement
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sums, "sample_without_replacement", counting)
+        spec = SumSpec(Randomized(10, 1000, 5))
+        rows = scan_window(N_TWELVE_DIGIT, *WINDOW_TWELVE_DIGIT, spec)
+        assert len(rows) == 33
+        assert draws == [(10, 1000, 5)]
+
     def test_rejects_bad_windows(self):
         with pytest.raises(ValueError):
             scan_window(15, 5, 4, FULL19)
@@ -222,6 +237,10 @@ class TestScalingStudy:
             scaling_study([(15, (4, 2))], 2)
         with pytest.raises(ValueError):
             scaling_study([(15, (2, 4))], 1)
+        with pytest.raises(ValueError, match="m_cap"):
+            scaling_study([(15, (2, 4))], 2, m_cap=0)
+        with pytest.raises(ValueError, match=f"N={10**309}"):
+            scaling_study([(10**309, (2, 3))], 2)
 
 
 class TestRandomizedSuccessFraction:
@@ -237,6 +256,23 @@ class TestRandomizedSuccessFraction:
         )
         assert a == b
         assert 0.5 < a <= 1.0
+
+    def test_agrees_with_scan_window_seed_for_seed(self):
+        # one seed succeeds exactly when its seeded scan shows no non-factor
+        # above threshold, because both evaluate the same sums
+        for seed in range(300):
+            fraction = randomized_success_fraction(
+                N_TWELVE_DIGIT, *WINDOW_TWELVE_DIGIT, 10, 1000, [seed]
+            )
+            rows = scan_window(
+                N_TWELVE_DIGIT, *WINDOW_TWELVE_DIGIT, SumSpec(Randomized(10, 1000, seed))
+            )
+            clean = not any(
+                r.value.magnitude > GHOST_THRESHOLD + GHOST_SLACK
+                for r in rows
+                if r.trial_class is not TrialClass.FACTOR
+            )
+            assert (fraction == 1.0) == clean, seed
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussfactor.sums as sums
 from gaussfactor import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    Complete,
     FullTruncation,
     MagnetizationReading,
     PulseSequence,
@@ -19,6 +21,7 @@ from gaussfactor import (
     SpinState,
     SumSpec,
     apply_sequence,
+    evaluate,
     phase_fraction,
     pulse_propagator,
     sample_without_replacement,
@@ -144,6 +147,23 @@ class TestFromSumSpec:
         for m, pulse in zip(ms, seq.pulses):
             want = math.tau * phase_fraction(m, 2, 15, 7).as_real
             assert pulse.phase == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SumSpec(FullTruncation(40), order=3),
+            SumSpec(Complete()),
+            SumSpec(Randomized(25, 500, 4)),
+        ],
+        ids=["full", "complete", "randomized"],
+    )
+    def test_train_follows_strategy_terms_and_kernel(self, spec):
+        N, l = N_TWELVE_DIGIT, 1013
+        terms = spec.strategy.terms(l)
+        seq = PulseSequence.from_sum_spec(N, l, spec, 1e-4)
+        assert len(terms) == evaluate(N, l, spec).term_count == len(seq)
+        kernel = list(sums._residue_phases(N, l, spec.order, terms))
+        assert [pulse.phase for pulse in seq.pulses] == kernel
 
 
 class TestSimulateExperiment:
