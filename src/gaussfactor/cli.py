@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -24,7 +25,8 @@ from .sums import (
     FullTruncation,
     Randomized,
     SumSpec,
-    curlicue_phase,
+    _curlicue_phases,
+    _running_sums,
     iter_curlicue_magnitudes,
 )
 
@@ -124,13 +126,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_natural(text: str, field: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise ValidationError(f"{field}: {text!r} is not a decimal integer") from None
-    if value < 0:
-        raise ValidationError(f"{field}: must be non-negative, got {value}")
-    return value
+    if not re.fullmatch("[0-9]+", text):
+        raise ValidationError(f"{field}: {text!r} is not a decimal integer")
+    return int(text)
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -389,8 +387,11 @@ def _load_figure_defaults(path: str | None) -> dict[str, Any]:
         source = resources.files("gaussfactor").joinpath("figure_defaults.json")
         text = source.read_text(encoding="utf-8")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"--config: cannot read {path!r} ({exc})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -398,44 +399,33 @@ def _load_figure_defaults(path: str | None) -> dict[str, Any]:
 
 
 def _figure_1(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    rows = []
-    for eps in cfg["epsilons"]:
-        for m, mag in iter_curlicue_magnitudes(eps, cfg["order"]):
-            rows.append([eps, m, mag])
-            if m >= cfg["max_truncation"]:
-                break
+    Ms = range(cfg["max_truncation"] + 1)
+    rows = [
+        [eps, M, mag]
+        for eps in cfg["epsilons"]
+        for M, (_, mag) in zip(Ms, iter_curlicue_magnitudes(eps, cfg["order"]))
+    ]
     return ["epsilon", "M", "magnitude"], rows
 
 
 def _figure_2(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    eps = cfg["epsilon"]
-    order = cfg["order"]
-    p, q = eps.as_integer_ratio()
+    walks = [(f"M{M}", range(M + 1)) for M in cfg["truncations"]]
+    walks.append((
+        f"random{cfg['random_count']}",
+        sample_without_replacement(
+            cfg["random_count"], cfg["random_m_max"], cfg["random_seed"]
+        ),
+    ))
     header = [
         "series", "m", "term_real", "term_imag",
         "partial_real", "partial_imag", "magnitude",
     ]
     rows = []
-
-    def walk(series: str, ms: Sequence[int]) -> None:
-        total = complex(0.0, 0.0)
-        for i, m in enumerate(ms):
-            ph = curlicue_phase(m, order, p, q)
-            term = complex(math.cos(ph), math.sin(ph))
-            total += term
-            rows.append(
-                [series, m, term.real, term.imag, total.real, total.imag,
-                 abs(total) / (i + 1)]
-            )
-
-    for M in cfg["truncations"]:
-        walk(f"M{M}", range(M + 1))
-    walk(
-        f"random{cfg['random_count']}",
-        sample_without_replacement(
-            cfg["random_count"], cfg["random_m_max"], cfg["random_seed"]
-        ),
-    )
+    for series, ms in walks:
+        steps = _running_sums(_curlicue_phases(cfg["epsilon"], cfg["order"], ms))
+        for k, (m, (c, s, part_re, part_im)) in enumerate(zip(ms, steps), 1):
+            mag = math.hypot(part_re, part_im) / k
+            rows.append([series, m, c, s, part_re, part_im, mag])
     return header, rows
 
 
@@ -469,12 +459,12 @@ def _figure_4(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
 
 
 def _figure_5(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    rows = []
-    for order in cfg["orders"]:
-        for m, mag in iter_curlicue_magnitudes(cfg["epsilon"], order):
-            rows.append([order, m, mag])
-            if m >= cfg["max_truncation"]:
-                break
+    Ms = range(cfg["max_truncation"] + 1)
+    rows = [
+        [order, M, mag]
+        for order in cfg["orders"]
+        for M, (_, mag) in zip(Ms, iter_curlicue_magnitudes(cfg["epsilon"], order))
+    ]
     return ["order", "M", "magnitude"], rows
 
 
@@ -483,12 +473,14 @@ _FIGURES = {"1": _figure_1, "2": _figure_2, "3": _figure_3, "4": _figure_4, "5":
 
 def _run_figure(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
     defaults = _load_figure_defaults(args.config)
-    if args.figure not in defaults:
-        raise ValidationError(f"figure {args.figure}: no defaults entry")
     try:
+        if args.figure not in defaults:
+            raise ValidationError(f"figure {args.figure}: no defaults entry")
         return _FIGURES[args.figure](defaults[args.figure])
     except KeyError as exc:
         raise ValidationError(f"figure {args.figure}: defaults missing key {exc}") from None
+    except TypeError as exc:
+        raise ValidationError(f"figure {args.figure}: bad config value ({exc})") from None
 
 
 _COMMANDS = {

@@ -19,6 +19,8 @@ from .sums import (
     Randomized,
     SumSpec,
     SumValue,
+    _residue_phases,
+    _running_sums,
     evaluate,
     iter_curlicue_magnitudes,
 )
@@ -181,18 +183,14 @@ def scaling_study(
             rows.append(ScalingRow(N, (l_min, l_max), 0.0, 0, root))
             continue
         worst = min((epsilon(N, l).magnitude for l in nonfactors))
-        residues = [N % l for l in nonfactors]
-        acc = [complex(0.0, 0.0)] * len(nonfactors)
+        ms = range(m_cap + 1)
+        walks = [_running_sums(_residue_phases(N, l, n, ms)) for l in nonfactors]
         required: int | None = None
-        for M in range(m_cap + 1):
-            all_below = True
-            for i, l in enumerate(nonfactors):
-                r = (pow(M, n, l) * residues[i]) % l
-                ph = math.tau * (r / l)
-                acc[i] += complex(math.cos(ph), math.sin(ph))
-                if abs(acc[i]) / (M + 1) > threshold + GHOST_SLACK:
-                    all_below = False
-            if all_below:
+        for M, partials in enumerate(zip(*walks)):
+            if not any(
+                math.hypot(re, im) / (M + 1) > threshold + GHOST_SLACK
+                for _, _, re, im in partials
+            ):
                 required = M
                 break
         rows.append(ScalingRow(N, (l_min, l_max), worst, required, root))

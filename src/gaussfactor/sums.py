@@ -5,7 +5,7 @@ exp(2*pi*i * m**n * N / l) over some index set of m.  A trial factor l of N
 makes every phase an integer multiple of 2*pi, so the mean has magnitude 1;
 non-factors scatter the phases and the mean shrinks.
 
-Every phase is reduced exactly to [0, 1) with integer arithmetic before any
+Every phase is reduced exactly, with integer arithmetic, before any
 trigonometry happens.  Evaluating 2*pi*m**2*N/l directly in floating point
 is catastrophically wrong for 17-digit N (the argument reaches 10**19 where
 doubles are spaced thousands apart), and that reduction is the single design
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count as _naturals
 from math import fsum
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -92,6 +93,10 @@ class Randomized:
             raise ValueError(
                 f"count {self.count} exceeds the {self.m_max + 1} available values"
             )
+        # SplitMix64 masks its seed to 64 bits; a seed outside that range
+        # would draw another seed's m-set while reporting its own
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @cached_property
     def _ms(self) -> tuple[int, ...]:
@@ -152,17 +157,61 @@ def _mean_of_phases(phases: Iterable[float], count: int) -> SumValue:
     )
 
 
+def _phases(a: int, q: int, n: int, ms: Iterable[int]) -> Iterator[float]:
+    """The phases pi*((m**n * a) mod 2q)/q for m in ms, in order.
+
+    The curlicue phase of the exact fraction a/q: every sum, walk and pulse
+    train takes its phases from here, bar the numpy residue_magnitudes.
+    The reduction is exact and the integer-over-integer division comes
+    first, so nothing larger than 2 ever meets a float.
+    """
+    q2 = 2 * q
+    return (math.pi * ((pow(m, n, q2) * a) % q2 / q) for m in ms)
+
+
 def _residue_phases(N: int, l: int, n: int, ms: Iterable[int]) -> Iterator[float]:
     """The phases 2*pi*frac(m**n * N / l) for m in ms, in order.
 
-    This is the one place a residue phase is computed.  N, l and n are
-    checked before the first phase is asked for.
+    N, l and n are checked before the first phase is asked for.
     """
     phase_fraction(0, n, N, l)  # validates N, l, n
-    t = N % l
-    # the integer-over-integer division happens first so nothing larger
-    # than tau ever meets a float
-    return (math.tau * ((pow(m, n, l) * t) % l / l) for m in ms)
+    # pi * 2r/l rounds exactly as tau * (r/l): scaling by 2 is exact
+    return _phases(2 * (N % l), l, n, ms)
+
+
+def _curlicue_phases(eps: float, n: int, ms: Iterable[int]) -> Iterator[float]:
+    """The phases pi*m**n*eps for m in ms, reduced mod 2*pi.
+
+    eps is taken at its exact value through its integer ratio, so the
+    reduction loses nothing even when m**n * eps is astronomically large.
+    eps and n are checked before the first phase is asked for.
+    """
+    if not math.isfinite(eps):
+        raise ValueError(f"epsilon must be finite, got {eps}")
+    if n < 2:
+        raise ValueError(f"sum order must be >= 2, got {n}")
+    p, q = eps.as_integer_ratio()
+    return _phases(p, q, n, ms)
+
+
+def _running_sums(phases: Iterable[float]) -> Iterator[tuple[float, float, float, float]]:
+    """Yield (cos, sin, partial real, partial imaginary) after each phase.
+
+    The package's one prefix sum.  Kahan compensation keeps it as accurate
+    as a one-shot fsum over the term counts this package uses.
+    """
+    re = im = re_c = im_c = 0.0
+    for ph in phases:
+        c, s = math.cos(ph), math.sin(ph)
+        y = c - re_c
+        tot = re + y
+        re_c = (tot - re) - y
+        re = tot
+        y = s - im_c
+        tot = im + y
+        im_c = (tot - im) - y
+        im = tot
+        yield c, s, re, im
 
 
 def _residue_mean(N: int, l: int, n: int, ms: Sequence[int]) -> SumValue:
@@ -183,12 +232,6 @@ def truncated_sum(N: int, l: int, n: int, M: int) -> SumValue:
     return _residue_mean(N, l, n, FullTruncation(M).terms(l))
 
 
-def _curlicue_ratio(eps: float) -> tuple[int, int]:
-    if not math.isfinite(eps):
-        raise ValueError(f"epsilon must be finite, got {eps}")
-    return eps.as_integer_ratio()
-
-
 def curlicue_phase(m: int, n: int, p: int, q: int) -> float:
     """Phase of the curlicue term exp(i*pi*m**n*(p/q)), reduced mod 2*pi.
 
@@ -202,19 +245,10 @@ def curlicue_phase(m: int, n: int, p: int, q: int) -> float:
 
 
 def curlicue(eps: float, n: int, M: int) -> SumValue:
-    """Normalized curlicue sum: mean of exp(i*pi*m**n*eps) for m = 0..M.
-
-    eps is taken at exact float value via its integer ratio, so the phase
-    reduction loses nothing even when m**n * eps is astronomically large.
-    """
-    if n < 2:
-        raise ValueError(f"sum order must be >= 2, got {n}")
+    """Normalized curlicue sum: mean of exp(i*pi*m**n*eps) for m = 0..M."""
     if M < 0:
         raise ValueError(f"truncation must be >= 0, got {M}")
-    p, q = _curlicue_ratio(eps)
-    return _mean_of_phases(
-        (curlicue_phase(m, n, p, q) for m in range(M + 1)), M + 1
-    )
+    return _mean_of_phases(_curlicue_phases(eps, n, range(M + 1)), M + 1)
 
 
 def randomized_sum(
@@ -270,33 +304,13 @@ def residue_magnitudes(l: int, n: int, M: int) -> np.ndarray:
     acc_im = np.zeros(l)
     for m in range(M + 1):
         r = (pow(m, n, l) * t) % l
-        ph = (math.tau / l) * r
+        ph = math.tau * (r / l)
         acc_re += np.cos(ph)
         acc_im += np.sin(ph)
     return np.hypot(acc_re, acc_im) / (M + 1)
 
 
 def iter_curlicue_magnitudes(eps: float, n: int) -> Iterator[tuple[int, float]]:
-    """Yield (M, |s_M|) for M = 0, 1, 2, ... without re-summing.
-
-    Kahan-compensated running sums keep the incremental path as accurate as
-    the one-shot evaluation over the term counts this package uses.
-    """
-    if n < 2:
-        raise ValueError(f"sum order must be >= 2, got {n}")
-    p, q = _curlicue_ratio(eps)
-    re = im = 0.0
-    re_c = im_c = 0.0
-    m = 0
-    while True:
-        ph = curlicue_phase(m, n, p, q)
-        y = math.cos(ph) - re_c
-        tot = re + y
-        re_c = (tot - re) - y
-        re = tot
-        y = math.sin(ph) - im_c
-        tot = im + y
-        im_c = (tot - im) - y
-        im = tot
-        yield m, math.hypot(re, im) / (m + 1)
-        m += 1
+    """Yield (M, |s_M|) for M = 0, 1, 2, ... without re-summing."""
+    walk = _running_sums(_curlicue_phases(eps, n, _naturals()))
+    return ((m, math.hypot(re, im) / (m + 1)) for m, (_, _, re, im) in enumerate(walk))

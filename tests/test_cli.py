@@ -1,9 +1,11 @@
 """Command-line behavior: schemas, formats, exit codes, determinism."""
 import json
 import math
+from itertools import islice
 
 import pytest
 
+from gaussfactor import iter_curlicue_magnitudes
 from gaussfactor.cli import (
     RESULT_HEADER,
     ResultRow,
@@ -30,7 +32,17 @@ BAD_STRATEGY_FLAGS = [
     ("--count", "0", "--m-max", "5"),
     ("--count", "11", "--m-max", "9"),
     ("--complete", "--order", "3"),
+    # SplitMix64 would mask these onto the m-set of another seed
+    ("--count", "10", "--m-max", "1000", "--seed", "-1"),
+    ("--count", "10", "--m-max", "1000", "--seed", str(2**64)),
 ]
+
+
+# figure 2's bundled defaults, with fewer terms
+FIGURE_2 = {
+    "epsilon": 4e-05, "order": 2, "truncations": [20],
+    "random_count": 10, "random_m_max": 1000, "random_seed": 0,
+}
 
 
 def run(capsys, *argv):
@@ -280,6 +292,13 @@ class TestExitCodes:
         assert code == 2
         assert "i/o error" in err
 
+    @pytest.mark.parametrize("text", ["\u0661\u0662", "-12", "+12", " 12", "1_2", ""])
+    def test_naturals_are_ascii_digits_only(self, capsys, text):
+        code, out, err = run(capsys, "classify", "--n", text, "--l", "3", "--complete")
+        assert code == 1
+        assert out == ""
+        assert "not a decimal integer" in err
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "scan", "--n", N12, "--frobnicate")
         assert code == 1
@@ -308,6 +327,19 @@ class TestReproduceFigure:
         assert final["M200"] == pytest.approx(0.3155, abs=1e-3)
         assert final["M1000"] == pytest.approx(0.0770, abs=1e-3)
         assert 0.0 <= final["random10"] <= 1.0
+
+    def test_figure_2_walks_match_the_magnitude_stream(self, capsys):
+        # the truncation series are prefixes of the stream that figure 1 and
+        # the suppression search read, so they must agree bit for bit
+        code, out, _ = run(capsys, "reproduce-figure", "2")
+        assert code == 0
+        series: dict[str, list[float]] = {}
+        for line in out.splitlines()[1:]:
+            cells = line.split(",")
+            series.setdefault(cells[0], []).append(float(cells[-1]))
+        for M in (20, 200, 1000):
+            want = [mag for _, mag in islice(iter_curlicue_magnitudes(4e-5, 2), M + 1)]
+            assert series[f"M{M}"] == want
 
     def test_figure_3_traces(self, capsys):
         code, out, _ = run(capsys, "reproduce-figure", "3")
@@ -362,6 +394,50 @@ class TestReproduceFigure:
         code, _, err = run(capsys, "reproduce-figure", "1", "--config", str(cfg))
         assert code == 1
         assert "missing key" in err
+
+    @pytest.mark.parametrize(
+        "figure, cfg",
+        [
+            ("1", {"order": 1, "epsilons": [0.01], "max_truncation": 10}),
+            ("1", {"order": 2, "epsilons": [math.inf], "max_truncation": 10}),
+            ("2", {**FIGURE_2, "order": 1}),
+            ("2", {**FIGURE_2, "epsilon": math.inf}),
+            ("2", {**FIGURE_2, "epsilon": math.nan}),
+        ],
+        ids=["1-order-1", "1-inf", "2-order-1", "2-inf", "2-nan"],
+    )
+    def test_curlicue_config_outside_the_domain(self, tmp_path, capsys, figure, cfg):
+        path = tmp_path / "fig.json"
+        path.write_text(json.dumps({figure: cfg}))
+        code, out, err = run(capsys, "reproduce-figure", figure, "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_config(self, tmp_path, capsys, name):
+        code, out, err = run(
+            capsys, "reproduce-figure", "1", "--config", str(tmp_path / name)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --config: cannot read")
+
+    @pytest.mark.parametrize(
+        "figure_1",
+        [
+            {"order": 2, "epsilons": ["0.01"], "max_truncation": 10},
+            {"order": 2, "epsilons": [0.01], "max_truncation": 10.5},
+        ],
+        ids=["string-epsilon", "float-truncation"],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, figure_1):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({"1": figure_1}))
+        code, out, err = run(capsys, "reproduce-figure", "1", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: figure 1: bad config value")
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "fig4.csv"

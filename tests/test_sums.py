@@ -109,6 +109,16 @@ class TestCurlicue:
             b = curlicue(eps + 2.0, 2, 137)
             assert (a.real_part, a.imag_part) == (b.real_part, b.imag_part)
 
+    @pytest.mark.parametrize(
+        "eps", [4e-5, -4e-5, 0.3, -0.9999, 1.0, 1e-300, 5e-324, -5e-324]
+    )
+    def test_kernel_phases_match_the_reference_bit_for_bit(self, eps):
+        p, q = eps.as_integer_ratio()
+        ms = [*range(50), *random.Random(3).sample(range(10**12), 50)]
+        for n in range(2, 7):
+            got = list(sums._curlicue_phases(eps, n, ms))
+            assert got == [curlicue_phase(m, n, p, q) for m in ms]
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             curlicue(float("nan"), 2, 10)
