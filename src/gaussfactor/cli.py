@@ -15,11 +15,10 @@ import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import ghost, spinsim
 from .numtheory import epsilon
-from .rng import sample_without_replacement
 from .sums import (
     Complete,
     FullTruncation,
@@ -89,10 +88,14 @@ def emit_json(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return json.dumps(objs, indent=2) + "\n"
 
 
-def _result_cells(r: ResultRow) -> list[Any]:
+def _result_cells(trial: ghost.ClassifiedTrial) -> list[Any]:
     # trial-factor sized integers stay strings in JSON so consumers that
     # read numbers as doubles cannot corrupt them
-    return [str(r.l), r.eps, r.magnitude, r.trial_class, r.seed, r.term_count]
+    seed = getattr(trial.spec.strategy, "seed", None)
+    return [
+        str(trial.l), trial.eps.value, trial.value.magnitude,
+        trial.trial_class.value, seed, trial.value.term_count,
+    ]
 
 
 def parse_result_csv(text: str) -> list[ResultRow]:
@@ -131,65 +134,79 @@ def _parse_natural(text: str, field: str) -> int:
     return int(text)
 
 
-def _parse_window(text: str) -> tuple[int, int]:
-    lo_text, sep, hi_text = text.partition(":")
-    if not sep:
-        raise ValidationError(f"--window: expected l_min:l_max, got {text!r}")
-    lo = _parse_natural(lo_text, "--window")
-    hi = _parse_natural(hi_text, "--window")
+def _check_window(lo: int, hi: int, field: str) -> tuple[int, int]:
     if not 2 <= lo <= hi:
-        raise ValidationError(f"--window: need 2 <= l_min <= l_max, got [{lo}, {hi}]")
+        raise ValidationError(f"{field}: need 2 <= l_min <= l_max, got [{lo}, {hi}]")
     return lo, hi
 
 
-def _window_for(args: argparse.Namespace, n_value: int) -> tuple[int, int]:
-    if args.window is not None:
-        return _parse_window(args.window)
+def _parse_window(text: str, field: str) -> tuple[int, int]:
+    lo_text, sep, hi_text = text.partition(":")
+    if not sep:
+        raise ValidationError(f"{field}: expected l_min:l_max, got {text!r}")
+    lo, hi = _parse_natural(lo_text, field), _parse_natural(hi_text, field)
+    return _check_window(lo, hi, field)
+
+
+def _config_window(window: Any) -> tuple[int, int]:
+    # type(v) is int: JSON 1.5 or true must not pass for an integer
+    if not (isinstance(window, list) and len(window) == 2
+            and all(type(v) is int for v in window)):
+        raise ValidationError(f"window: expected [l_min, l_max], got {window!r}")
+    return _check_window(*window, "window")
+
+
+def _trials(args: argparse.Namespace) -> tuple[int, tuple[int, int]]:
+    """N and the trial window that --l, --window or the built-in default name."""
+    n_value = _parse_natural(args.n, "--n")
+    l_text, window = getattr(args, "l", None), getattr(args, "window", None)
+    if l_text is not None and window is not None:
+        raise ValidationError("--l and --window are mutually exclusive")
+    if l_text is not None:
+        l_value = _parse_natural(l_text, "--l")
+        if l_value < 2:
+            raise ValidationError(f"--l: trial factors start at 2, got {l_value}")
+        return n_value, (l_value, l_value)
+    if window is not None:
+        return n_value, _parse_window(window, "--window")
     if n_value in ghost.DEFAULT_WINDOWS:
-        return ghost.DEFAULT_WINDOWS[n_value]
+        return n_value, ghost.DEFAULT_WINDOWS[n_value]
     raise ValidationError(
         "--window: required (built-in defaults exist only for the two "
         "demonstration targets)"
     )
 
 
-def _strategy_from(args: argparse.Namespace) -> SumSpec:
-    chosen = [
-        args.truncation is not None,
-        args.count is not None or args.m_max is not None,
-        args.complete,
-    ]
-    if sum(chosen) != 1:
+def _sum_spec(order: Any = 2, truncation: Any = None, count: Any = None,
+              m_max: Any = None, seed: Any = 0, complete: bool = False) -> SumSpec:
+    """The SumSpec that strategy flags or config fields name; bad ones exit 1."""
+    named = dict(order=order, truncation=truncation, count=count, m_max=m_max, seed=seed)
+    for field, value in named.items():
+        if value is not None and type(value) is not int:
+            raise ValidationError(f"{field} must be an integer, got {value!r}")
+    randomized = count is not None or m_max is not None
+    if sum([truncation is not None, randomized, complete]) != 1:
         raise ValidationError(
             "exactly one strategy: --truncation M, or --count K with --m-max, "
             "or --complete"
         )
     try:
-        if args.truncation is not None:
-            strategy = FullTruncation(args.truncation)
-        elif args.complete:
+        if truncation is not None:
+            strategy = FullTruncation(truncation)
+        elif complete:
             strategy = Complete()
-        elif args.count is None or args.m_max is None:
+        elif count is None or m_max is None:
             raise ValidationError("randomized strategy needs both --count and --m-max")
         else:
-            strategy = Randomized(args.count, args.m_max, args.seed)
-        return SumSpec(strategy, args.order)
+            strategy = Randomized(count, m_max, seed)
+        return SumSpec(strategy, order)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
 
-def _spec_seed(spec: SumSpec) -> int | None:
-    return getattr(spec.strategy, "seed", None)
-
-
-def _trial_to_row(trial: ghost.ClassifiedTrial) -> ResultRow:
-    return ResultRow(
-        l=trial.l,
-        eps=trial.eps.value,
-        magnitude=trial.value.magnitude,
-        trial_class=trial.trial_class.value,
-        seed=_spec_seed(trial.spec),
-        term_count=trial.value.term_count,
+def _flag_spec(args: argparse.Namespace) -> SumSpec:
+    return _sum_spec(
+        args.order, args.truncation, args.count, args.m_max, args.seed, args.complete
     )
 
 
@@ -201,20 +218,6 @@ def _write_output(text: str, path: str | None) -> None:
         fh.write(text)
 
 
-def _add_common_flags(p: argparse.ArgumentParser, with_strategy: bool = True) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", help="output path (default stdout)")
-    if with_strategy:
-        p.add_argument("--order", type=int, default=2, help="sum order n (default 2)")
-        p.add_argument("--truncation", type=int, help="evaluate all terms m = 0..M")
-        p.add_argument("--count", type=int, help="randomized: how many m to draw")
-        p.add_argument("--m-max", type=int, help="randomized: draw m from 0..m_max")
-        p.add_argument("--seed", type=int, default=0, help="randomized seed (default 0)")
-        p.add_argument(
-            "--complete", action="store_true", help="sum all l residues (order 2 only)"
-        )
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="gaussfactor",
@@ -222,29 +225,34 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_scan = sub.add_parser("scan", help="classify a window of trial factors")
-    p_scan.add_argument("--n", required=True, help="target integer, decimal string")
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--output", help="output path (default stdout)")
+    order = _Parser(add_help=False)
+    order.add_argument("--order", type=int, default=2, help="sum order n (default 2)")
+    strategy = _Parser(add_help=False, parents=[order, output])
+    strategy.add_argument("--n", required=True, help="target integer, decimal string")
+    strategy.add_argument("--truncation", type=int, help="evaluate all terms m = 0..M")
+    strategy.add_argument("--count", type=int, help="randomized: how many m to draw")
+    strategy.add_argument("--m-max", type=int, help="randomized: draw m from 0..m_max")
+    strategy.add_argument("--seed", type=int, default=0, help="randomized seed (default 0)")
+    strategy.add_argument(
+        "--complete", action="store_true", help="sum all l residues (order 2 only)"
+    )
+    study = _Parser(add_help=False, parents=[order, output])
+    study.add_argument("--threshold", type=float, default=ghost.GHOST_THRESHOLD)
+
+    p_scan = sub.add_parser("scan", parents=[strategy], help="classify a window of l")
     p_scan.add_argument("--window", help="trial factors l_min:l_max")
-    _add_common_flags(p_scan)
 
-    p_cls = sub.add_parser("classify", help="classify one trial factor")
-    p_cls.add_argument("--n", required=True, help="target integer, decimal string")
+    p_cls = sub.add_parser("classify", parents=[strategy], help="classify one l")
     p_cls.add_argument("--l", required=True, help="trial factor, decimal string")
-    _add_common_flags(p_cls)
 
-    p_sup = sub.add_parser(
-        "suppression", help="terms needed to fall below threshold"
-    )
+    p_sup = sub.add_parser("suppression", parents=[study], help="terms to fall below threshold")
     p_sup.add_argument("--epsilon", type=float, required=True)
-    p_sup.add_argument("--order", type=int, default=2)
-    p_sup.add_argument("--threshold", type=float, default=ghost.GHOST_THRESHOLD)
     p_sup.add_argument("--m-cap", type=int, default=10**6)
-    p_sup.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sup.add_argument("--output")
 
-    p_scale = sub.add_parser(
-        "scaling", help="window suppression vs target size"
-    )
+    p_scale = sub.add_parser("scaling", parents=[study], help="suppression vs target size")
     p_scale.add_argument(
         "--case",
         action="append",
@@ -252,59 +260,41 @@ def _build_parser() -> _Parser:
         metavar="N:L_MIN:L_MAX",
         help="target and window; repeatable",
     )
-    p_scale.add_argument("--order", type=int, default=2)
-    p_scale.add_argument("--threshold", type=float, default=ghost.GHOST_THRESHOLD)
     p_scale.add_argument("--m-cap", type=int, default=10**5)
-    p_scale.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scale.add_argument("--output")
 
-    p_sim = sub.add_parser(
-        "simulate", help="pulse-train readout of a scan"
-    )
-    p_sim.add_argument("--n", required=True, help="target integer, decimal string")
+    p_sim = sub.add_parser("simulate", parents=[strategy], help="pulse-train readout")
     p_sim.add_argument("--l", help="single trial factor, decimal string")
     p_sim.add_argument("--window", help="trial factors l_min:l_max")
     p_sim.add_argument("--theta", type=float, required=True, help="flip angle, radians")
-    _add_common_flags(p_sim)
 
-    p_fig = sub.add_parser(
-        "reproduce-figure", help="emit plot data for figures 1..5"
-    )
+    p_fig = sub.add_parser("reproduce-figure", parents=[output], help="figure 1..5 data")
     p_fig.add_argument("figure", choices=("1", "2", "3", "4", "5"))
     p_fig.add_argument("--config", help="alternate figure-defaults JSON")
-    p_fig.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_fig.add_argument("--output")
 
     return parser
 
 
-def _with_context(compute, N: int, l: int | None = None):
-    """Run a computation, tagging any domain violation with its inputs."""
-    try:
-        return compute()
-    except ValueError as exc:
-        where = f"N={N}" if l is None else f"N={N}, l={l}"
-        raise DomainError(f"{exc} ({where})") from exc
+def _per_trial(
+    N: int, lo: int, hi: int, row: Callable[[int], list[Any]]
+) -> list[list[Any]]:
+    """row(l) for every l in [lo, hi]; a domain violation names N and its l."""
+    rows = []
+    for l in range(lo, hi + 1):
+        try:
+            rows.append(row(l))
+        except ValueError as exc:
+            raise DomainError(f"{exc} (N={N}, l={l})") from exc
+    return rows
+
+
+def _classified_rows(N: int, lo: int, hi: int, spec: SumSpec) -> list[list[Any]]:
+    return _per_trial(N, lo, hi, lambda l: _result_cells(ghost.classify(N, l, spec)))
 
 
 def _run_scan(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
-    n_value = _parse_natural(args.n, "--n")
-    lo, hi = _window_for(args, n_value)
-    spec = _strategy_from(args)
-    trials = _with_context(lambda: ghost.scan_window(n_value, lo, hi, spec), n_value)
-    return RESULT_HEADER, [_result_cells(_trial_to_row(t)) for t in trials]
-
-
-def _run_classify(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
-    n_value = _parse_natural(args.n, "--n")
-    l_value = _parse_natural(args.l, "--l")
-    if l_value < 2:
-        raise ValidationError(f"--l: trial factors start at 2, got {l_value}")
-    spec = _strategy_from(args)
-    trial = _with_context(
-        lambda: ghost.classify(n_value, l_value, spec), n_value, l_value
-    )
-    return RESULT_HEADER, [_result_cells(_trial_to_row(trial))]
+    """scan over --window, or classify over the one-l window of --l."""
+    n_value, (lo, hi) = _trials(args)
+    return RESULT_HEADER, _classified_rows(n_value, lo, hi, _flag_spec(args))
 
 
 def _check_study_flags(args: argparse.Namespace) -> None:
@@ -318,9 +308,11 @@ def _check_study_flags(args: argparse.Namespace) -> None:
 
 def _run_suppression(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
     _check_study_flags(args)
-    required = ghost.min_suppression_M(
-        args.epsilon, args.order, args.threshold, args.m_cap
-    )
+    # the range of Epsilon; sums are periodic in eps, but a reported eps of 5
+    # would not be a fractional part of any 2N/l
+    if not -1 < args.epsilon <= 1:
+        raise ValidationError(f"--epsilon: must be in (-1, 1], got {args.epsilon}")
+    required = ghost.min_suppression_M(args.epsilon, args.order, args.threshold, args.m_cap)
     header = ["epsilon", "order", "threshold", "m_cap", "required_M"]
     return header, [[args.epsilon, args.order, args.threshold, args.m_cap, required]]
 
@@ -329,15 +321,10 @@ def _run_scaling(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
     _check_study_flags(args)
     cases = []
     for text in args.case:
-        parts = text.split(":")
-        if len(parts) != 3:
+        n_text, _, window = text.partition(":")
+        if text.count(":") != 2:
             raise ValidationError(f"--case: expected N:L_MIN:L_MAX, got {text!r}")
-        n_value = _parse_natural(parts[0], "--case")
-        lo = _parse_natural(parts[1], "--case")
-        hi = _parse_natural(parts[2], "--case")
-        if not 2 <= lo <= hi:
-            raise ValidationError(f"--case: need 2 <= l_min <= l_max in {text!r}")
-        cases.append((n_value, (lo, hi)))
+        cases.append((_parse_natural(n_text, "--case"), _parse_window(window, "--case")))
     rows = ghost.scaling_study(cases, args.order, args.threshold, args.m_cap)
     header = ["N", "l_min", "l_max", "worst_epsilon", "required_M", "root_2n"]
     return header, [
@@ -347,39 +334,20 @@ def _run_scaling(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
 
 
 def _run_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
-    n_value = _parse_natural(args.n, "--n")
-    if args.l is not None and args.window is not None:
-        raise ValidationError("--l and --window are mutually exclusive")
-    if args.l is not None:
-        l_value = _parse_natural(args.l, "--l")
-        if l_value < 2:
-            raise ValidationError(f"--l: trial factors start at 2, got {l_value}")
-        lo, hi = l_value, l_value
-    else:
-        lo, hi = _window_for(args, n_value)
+    n_value, (lo, hi) = _trials(args)
     if not args.theta > 0:
         raise ValidationError(f"--theta: must be positive, got {args.theta}")
-    spec = _strategy_from(args)
+    spec = _flag_spec(args)
+
+    def row(l: int) -> list[Any]:
+        r = spinsim.simulate_experiment(n_value, l, spec, args.theta)
+        return [
+            str(l), epsilon(n_value, l).value, r.mx, r.my,
+            r.transverse_magnitude, r.normalized_signal, len(spec.strategy.terms(l)),
+        ]
+
     header = ["l", "epsilon", "mx", "my", "transverse", "normalized_signal", "term_count"]
-    rows = []
-    for l in range(lo, hi + 1):
-        reading = _with_context(
-            lambda: spinsim.simulate_experiment(n_value, l, spec, args.theta),
-            n_value,
-            l,
-        )
-        rows.append(
-            [
-                str(l),
-                epsilon(n_value, l).value,
-                reading.mx,
-                reading.my,
-                reading.transverse_magnitude,
-                reading.normalized_signal,
-                len(spec.strategy.terms(l)),
-            ]
-        )
-    return header, rows
+    return header, _per_trial(n_value, lo, hi, row)
 
 
 def _load_figure_defaults(path: str | None) -> dict[str, Any]:
@@ -398,24 +366,29 @@ def _load_figure_defaults(path: str | None) -> dict[str, Any]:
         raise ValidationError(f"--config: not valid JSON ({exc})") from None
 
 
-def _figure_1(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    Ms = range(cfg["max_truncation"] + 1)
-    rows = [
-        [eps, M, mag]
-        for eps in cfg["epsilons"]
-        for M, (_, mag) in zip(Ms, iter_curlicue_magnitudes(eps, cfg["order"]))
+def _magnitude_rows(
+    max_truncation: int, series: list[tuple[Any, float, int]]
+) -> list[list[Any]]:
+    """[key, M, |s_M(eps)|] for M = 0..max_truncation of each (key, eps, order)."""
+    Ms = range(max_truncation + 1)
+    return [
+        [key, M, mag]
+        for key, eps, order in series
+        for M, (_, mag) in zip(Ms, iter_curlicue_magnitudes(eps, order))
     ]
-    return ["epsilon", "M", "magnitude"], rows
+
+
+def _figure_1(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+    series = [(eps, eps, cfg["order"]) for eps in cfg["epsilons"]]
+    return ["epsilon", "M", "magnitude"], _magnitude_rows(cfg["max_truncation"], series)
 
 
 def _figure_2(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
     walks = [(f"M{M}", range(M + 1)) for M in cfg["truncations"]]
-    walks.append((
-        f"random{cfg['random_count']}",
-        sample_without_replacement(
-            cfg["random_count"], cfg["random_m_max"], cfg["random_seed"]
-        ),
-    ))
+    draw = _sum_spec(
+        count=cfg["random_count"], m_max=cfg["random_m_max"], seed=cfg["random_seed"]
+    )
+    walks.append((f"random{cfg['random_count']}", draw.strategy.terms(0)))
     header = [
         "series", "m", "term_real", "term_imag",
         "partial_real", "partial_imag", "magnitude",
@@ -430,42 +403,35 @@ def _figure_2(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
 
 
 def _figure_3(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    n_value = _parse_natural(cfg["N"], "figure 3 N")
-    lo, hi = cfg["window"]
+    n_value = _parse_natural(cfg["N"], "N")
+    lo, hi = _config_window(cfg["window"])
+    upper, middle, lower = cfg["upper"], cfg["middle"], cfg["lower"]
     traces = {
-        "upper": SumSpec(FullTruncation(cfg["upper"]["truncation"]), cfg["upper"]["order"]),
-        "middle": SumSpec(
-            Randomized(
-                cfg["middle"]["count"], cfg["middle"]["m_max"], cfg["middle"]["seed"]
-            ),
-            cfg["middle"]["order"],
+        "upper": _sum_spec(upper["order"], upper["truncation"]),
+        "middle": _sum_spec(
+            middle["order"], count=middle["count"], m_max=middle["m_max"],
+            seed=middle["seed"],
         ),
-        "lower": SumSpec(FullTruncation(cfg["lower"]["truncation"]), cfg["lower"]["order"]),
+        "lower": _sum_spec(lower["order"], lower["truncation"]),
     }
-    header = ["trace"] + RESULT_HEADER
-    rows = []
-    for name, spec in traces.items():
-        for trial in ghost.scan_window(n_value, lo, hi, spec):
-            rows.append([name] + _result_cells(_trial_to_row(trial)))
-    return header, rows
+    rows = [
+        [name] + cells
+        for name, spec in traces.items()
+        for cells in _classified_rows(n_value, lo, hi, spec)
+    ]
+    return ["trace"] + RESULT_HEADER, rows
 
 
 def _figure_4(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    n_value = _parse_natural(cfg["N"], "figure 4 N")
-    lo, hi = cfg["window"]
-    spec = SumSpec(Randomized(cfg["count"], cfg["m_max"], cfg["seed"]), 2)
-    trials = ghost.scan_window(n_value, lo, hi, spec)
-    return RESULT_HEADER, [_result_cells(_trial_to_row(t)) for t in trials]
+    n_value = _parse_natural(cfg["N"], "N")
+    lo, hi = _config_window(cfg["window"])
+    spec = _sum_spec(count=cfg["count"], m_max=cfg["m_max"], seed=cfg["seed"])
+    return RESULT_HEADER, _classified_rows(n_value, lo, hi, spec)
 
 
 def _figure_5(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    Ms = range(cfg["max_truncation"] + 1)
-    rows = [
-        [order, M, mag]
-        for order in cfg["orders"]
-        for M, (_, mag) in zip(Ms, iter_curlicue_magnitudes(cfg["epsilon"], order))
-    ]
-    return ["order", "M", "magnitude"], rows
+    series = [(order, cfg["epsilon"], order) for order in cfg["orders"]]
+    return ["order", "M", "magnitude"], _magnitude_rows(cfg["max_truncation"], series)
 
 
 _FIGURES = {"1": _figure_1, "2": _figure_2, "3": _figure_3, "4": _figure_4, "5": _figure_5}
@@ -475,8 +441,10 @@ def _run_figure(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
     defaults = _load_figure_defaults(args.config)
     try:
         if args.figure not in defaults:
-            raise ValidationError(f"figure {args.figure}: no defaults entry")
+            raise ValidationError("no defaults entry")
         return _FIGURES[args.figure](defaults[args.figure])
+    except ValidationError as exc:
+        raise ValidationError(f"figure {args.figure}: {exc}") from None
     except KeyError as exc:
         raise ValidationError(f"figure {args.figure}: defaults missing key {exc}") from None
     except TypeError as exc:
@@ -485,7 +453,7 @@ def _run_figure(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
 
 _COMMANDS = {
     "scan": _run_scan,
-    "classify": _run_classify,
+    "classify": _run_scan,
     "suppression": _run_suppression,
     "scaling": _run_scaling,
     "simulate": _run_simulate,

@@ -40,10 +40,11 @@ class SplitMix64:
         """Uniform integer in [0, bound), free of modulo bias.
 
         Draws are rejected above the largest multiple of bound that fits in
-        64 bits, so every residue is equally likely.
+        64 bits, so every residue is equally likely.  A bound past 2**64 has
+        no such multiple and is refused.
         """
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_u64()

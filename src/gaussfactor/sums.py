@@ -87,8 +87,9 @@ class Randomized:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.m_max < 0:
-            raise ValueError(f"m_max must be >= 0, got {self.m_max}")
+        # SplitMix64 draws below m_max + 1, which must not exceed 2**64
+        if not 0 <= self.m_max < 2**64:
+            raise ValueError(f"m_max must be in [0, 2**64), got {self.m_max}")
         if self.count > self.m_max + 1:
             raise ValueError(
                 f"count {self.count} exceeds the {self.m_max + 1} available values"

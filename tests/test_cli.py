@@ -1,6 +1,7 @@
 """Command-line behavior: schemas, formats, exit codes, determinism."""
 import json
 import math
+from importlib import resources
 from itertools import islice
 
 import pytest
@@ -35,6 +36,8 @@ BAD_STRATEGY_FLAGS = [
     # SplitMix64 would mask these onto the m-set of another seed
     ("--count", "10", "--m-max", "1000", "--seed", "-1"),
     ("--count", "10", "--m-max", "1000", "--seed", str(2**64)),
+    # a bound past 2**64 would leave SplitMix64's rejection loop spinning
+    ("--count", "1", "--m-max", str(2**64)),
 ]
 
 
@@ -43,6 +46,12 @@ FIGURE_2 = {
     "epsilon": 4e-05, "order": 2, "truncations": [20],
     "random_count": 10, "random_m_max": 1000, "random_seed": 0,
 }
+
+
+# the bundled figure configs, as reproduce-figure reads them by default
+BUNDLED = json.loads(
+    resources.files("gaussfactor").joinpath("figure_defaults.json").read_text("utf-8")
+)
 
 
 def run(capsys, *argv):
@@ -143,6 +152,14 @@ class TestScan:
         assert code == 1
         assert "--window" in err
 
+    def test_domain_error_names_n_and_l(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "--n", "10", "--window", "10000001:10000001", "--complete"
+        )
+        assert code == 3
+        assert out == ""
+        assert "cap" in err and "(N=10, l=10000001)" in err
+
     def test_byte_identical_reruns(self, capsys):
         argv = ("scan", "--n", N17, "--count", "10", "--m-max", "5000", "--seed", "3")
         _, first, _ = run(capsys, *argv)
@@ -176,6 +193,19 @@ class TestSuppressionAndScaling:
         code, _, err = run(capsys, "suppression", "--epsilon", "0")
         assert code == 3
         assert "factor case" in err
+
+    @pytest.mark.parametrize("eps", ["5", "-1", "nan", "inf"])
+    def test_epsilon_outside_its_range_rejected(self, capsys, eps):
+        code, out, err = run(capsys, "suppression", "--epsilon", eps)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --epsilon")
+
+    @pytest.mark.parametrize("eps, required", [("1", "1"), ("-0.5", "1")])
+    def test_epsilon_range_is_half_open(self, capsys, eps, required):
+        code, out, _ = run(capsys, "suppression", "--epsilon", eps)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[4] == required
 
     def test_scaling_rows(self, capsys):
         code, out, _ = run(
@@ -438,6 +468,35 @@ class TestReproduceFigure:
         assert code == 1
         assert out == ""
         assert err.startswith("error: figure 1: bad config value")
+
+    @pytest.mark.parametrize(
+        "figure, change",
+        [
+            ("2", {"random_seed": -1}),
+            ("4", {"seed": -1}),
+            ("3", {"upper": {"order": 2, "truncation": -1}}),
+            ("4", {"window": [179424701, 179424663]}),
+            ("3", {"window": [1299699, 1299715, 1299731]}),
+            ("4", {"count": 1.5}),
+            ("2", {"random_count": 1.5}),
+            ("3", {"window": [1299699.0, 1299731]}),
+        ],
+        ids=[
+            "2-seed", "4-seed", "3-truncation", "4-reversed-window",
+            "3-three-element-window", "4-float-count", "2-float-count",
+            "3-float-window",
+        ],
+    )
+    def test_bad_config_values_are_validation_errors(
+        self, tmp_path, capsys, figure, change
+    ):
+        path = tmp_path / "fig.json"
+        path.write_text(json.dumps({figure: {**BUNDLED[figure], **change}}))
+        code, out, err = run(capsys, "reproduce-figure", figure, "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: figure {figure}: ")
+        assert "Traceback" not in err
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "fig4.csv"

@@ -53,6 +53,13 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             SplitMix64(0).below(0)
 
+    def test_below_takes_bounds_up_to_two_to_the_64(self):
+        # past 2**64 no multiple of the bound fits in 64 bits, and the
+        # rejection loop would never accept a draw
+        assert 0 <= SplitMix64(5).below(1 << 64) <= MASK
+        with pytest.raises(ValueError):
+            SplitMix64(5).below((1 << 64) + 1)
+
     def test_below_covers_small_range_uniformly(self):
         # deterministic stream, so these counts are fixed; the band just
         # encodes that no residue is starved or doubled by modulo bias
