@@ -13,6 +13,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Callable, Sequence
@@ -177,26 +178,40 @@ def _trials(args: argparse.Namespace) -> tuple[int, tuple[int, int]]:
     )
 
 
-def _sum_spec(order: Any = 2, truncation: Any = None, count: Any = None,
-              m_max: Any = None, seed: Any = 0, complete: bool = False) -> SumSpec:
-    """The SumSpec that strategy flags or config fields name; bad ones exit 1."""
+# what the messages of _sum_spec call each field, by where it was read
+_FLAG_NAMES = {
+    "order": "--order", "truncation": "--truncation", "count": "--count",
+    "m_max": "--m-max", "seed": "--seed", "complete": "--complete",
+}
+_CONFIG_NAMES = {f: f for f in ("order", "truncation", "count", "m_max", "seed")}
+
+
+def _sum_spec(names: dict[str, str], order: Any = 2, truncation: Any = None,
+              count: Any = None, m_max: Any = None, seed: Any = 0,
+              complete: bool = False) -> SumSpec:
+    """The SumSpec that strategy flags or config fields name; bad ones exit 1.
+
+    names maps each field to the flag or config key the caller read it
+    from; only a caller that can select the complete sum names "complete".
+    """
     named = dict(order=order, truncation=truncation, count=count, m_max=m_max, seed=seed)
     for field, value in named.items():
         if value is not None and type(value) is not int:
-            raise ValidationError(f"{field} must be an integer, got {value!r}")
+            raise ValidationError(f"{names[field]} must be an integer, got {value!r}")
     randomized = count is not None or m_max is not None
     if sum([truncation is not None, randomized, complete]) != 1:
-        raise ValidationError(
-            "exactly one strategy: --truncation M, or --count K with --m-max, "
-            "or --complete"
-        )
+        ways = [f"{names['truncation']} M", f"{names['count']} K with {names['m_max']}"]
+        ways += [names["complete"]] if "complete" in names else []
+        raise ValidationError("exactly one strategy: " + ", or ".join(ways))
     try:
         if truncation is not None:
             strategy = FullTruncation(truncation)
         elif complete:
             strategy = Complete()
         elif count is None or m_max is None:
-            raise ValidationError("randomized strategy needs both --count and --m-max")
+            raise ValidationError(
+                f"randomized strategy needs both {names['count']} and {names['m_max']}"
+            )
         else:
             strategy = Randomized(count, m_max, seed)
         return SumSpec(strategy, order)
@@ -206,7 +221,8 @@ def _sum_spec(order: Any = 2, truncation: Any = None, count: Any = None,
 
 def _flag_spec(args: argparse.Namespace) -> SumSpec:
     return _sum_spec(
-        args.order, args.truncation, args.count, args.m_max, args.seed, args.complete
+        _FLAG_NAMES, args.order, args.truncation, args.count, args.m_max, args.seed,
+        args.complete,
     )
 
 
@@ -385,8 +401,11 @@ def _figure_1(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
 
 def _figure_2(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
     walks = [(f"M{M}", range(M + 1)) for M in cfg["truncations"]]
+    names = {**_CONFIG_NAMES, "count": "random_count", "m_max": "random_m_max",
+             "seed": "random_seed"}
     draw = _sum_spec(
-        count=cfg["random_count"], m_max=cfg["random_m_max"], seed=cfg["random_seed"]
+        names, count=cfg["random_count"], m_max=cfg["random_m_max"],
+        seed=cfg["random_seed"],
     )
     walks.append((f"random{cfg['random_count']}", draw.strategy.terms(0)))
     header = [
@@ -407,12 +426,12 @@ def _figure_3(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
     lo, hi = _config_window(cfg["window"])
     upper, middle, lower = cfg["upper"], cfg["middle"], cfg["lower"]
     traces = {
-        "upper": _sum_spec(upper["order"], upper["truncation"]),
+        "upper": _sum_spec(_CONFIG_NAMES, upper["order"], upper["truncation"]),
         "middle": _sum_spec(
-            middle["order"], count=middle["count"], m_max=middle["m_max"],
+            _CONFIG_NAMES, middle["order"], count=middle["count"], m_max=middle["m_max"],
             seed=middle["seed"],
         ),
-        "lower": _sum_spec(lower["order"], lower["truncation"]),
+        "lower": _sum_spec(_CONFIG_NAMES, lower["order"], lower["truncation"]),
     }
     rows = [
         [name] + cells
@@ -425,7 +444,9 @@ def _figure_3(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
 def _figure_4(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
     n_value = _parse_natural(cfg["N"], "N")
     lo, hi = _config_window(cfg["window"])
-    spec = _sum_spec(count=cfg["count"], m_max=cfg["m_max"], seed=cfg["seed"])
+    spec = _sum_spec(
+        _CONFIG_NAMES, count=cfg["count"], m_max=cfg["m_max"], seed=cfg["seed"]
+    )
     return RESULT_HEADER, _classified_rows(n_value, lo, hi, spec)
 
 
@@ -461,10 +482,23 @@ _COMMANDS = {
 }
 
 
+def _run_command(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+    """Run a subcommand; each distinct warning it raises is one stderr line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return _COMMANDS[args.command](args)
+        finally:
+            # a warning's default report names a source file and line,
+            # which mean nothing to someone running the command
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        header, rows = _COMMANDS[args.command](args)
+        header, rows = _run_command(args)
         text = emit_csv(header, rows) if args.format == "csv" else emit_json(header, rows)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,12 @@ flip angle is small the per-pulse rotation generators approximately
 commute, so the net transverse signal is proportional to the magnitude of
 the mean of the unit phasors.
 
-States are 2x2 density matrices.  The thermal state is the usual
+Every rotation is carried as its SU(2) Cayley-Klein pair (a, b), the first
+column of the propagator [[a, -conj(b)], [b, conj(a)]].  One kernel composes
+a train's pairs as a pairwise tree and renormalizes each product, so the
+rounding error grows with the depth of the tree, log2 of the train length,
+and the composed rotation stays unitary to machine precision however long
+the train.  States are 2x2 density matrices.  The thermal state is the usual
 high-temperature deviation along z; the proportionality constant drops out
 of the normalized signal, which divides by the exact factor-case response
 so a true factor reads exactly 1.
@@ -17,6 +22,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 
@@ -42,10 +49,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _IDENTITY = np.eye(2, dtype=complex)
 
-# spin-1/2 angular momentum operators
-_IX = SIGMA_X / 2
-_IY = SIGMA_Y / 2
-_IZ = SIGMA_Z / 2
+_IZ = SIGMA_Z / 2  # spin-1/2 angular momentum along z
 
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
@@ -129,6 +133,39 @@ def pulse_propagator(pulse: PulseSpec) -> np.ndarray:
     return math.cos(pulse.theta / 2) * _IDENTITY - 1j * math.sin(pulse.theta / 2) * axis
 
 
+def _compose(a: complex, b: complex, a1: complex, b1: complex) -> tuple[complex, complex]:
+    """Pair of rotation (a1, b1) followed by (a, b), scaled to |a|^2 + |b|^2 = 1."""
+    a, b = a * a1 - b.conjugate() * b1, b * a1 + a.conjugate() * b1
+    norm = math.hypot(a.real, a.imag, b.real, b.imag)
+    return a / norm, b / norm
+
+
+def _train_rotation(
+    pulses: Iterable[tuple[float, float, float]],
+) -> tuple[complex, complex]:
+    """Cayley-Klein pair of a pulse train, first pulse applied first.
+
+    Each pulse is (cos(theta/2), sin(theta/2), phase), whose pair is
+    (cos(theta/2), -i*sin(theta/2)*exp(i*phase)).  The pulses stream into a
+    pairwise product tree kept on a binary-counter stack: the n-th pulse
+    merges once for every trailing zero bit of n, so the stack holds blocks
+    of strictly decreasing power-of-two length, earliest at the bottom, and
+    never more than log2(n) + 1 of them.
+    """
+    stack: list[tuple[complex, complex]] = []
+    cos, sin = math.cos, math.sin
+    for n, (c, s, phase) in enumerate(pulses, 1):
+        pair = c, complex(s * sin(phase), -s * cos(phase))
+        while not n & 1:
+            pair = _compose(*pair, *stack.pop())
+            n >>= 1
+        stack.append(pair)
+    a, b = 1 + 0j, 0j
+    while stack:
+        a, b = _compose(a, b, *stack.pop())
+    return a, b
+
+
 def apply_sequence(seq: PulseSequence, initial: SpinState) -> SpinState:
     """Evolve a state through the full train: rho -> U rho U+.
 
@@ -139,9 +176,10 @@ def apply_sequence(seq: PulseSequence, initial: SpinState) -> SpinState:
     """
     if not isinstance(initial, SpinState):
         raise ValueError("initial state must be a SpinState")
-    u = _IDENTITY
-    for pulse in seq.pulses:
-        u = pulse_propagator(pulse) @ u
+    a, b = _train_rotation(
+        (math.cos(p.theta / 2), math.sin(p.theta / 2), p.phase) for p in seq.pulses
+    )
+    u = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
     return SpinState(u @ initial.rho @ u.conj().T)
 
 
@@ -176,10 +214,16 @@ def simulate_experiment(
     factor-case response sin(term_count*theta)/2, so a factor reads 1 to
     machine precision.  The small-angle contract is enforced: total angle
     term_count*theta beyond pi/2 is an error, beyond 0.5 a warning.
+
+    The train acts on the pure thermal state, so the readout comes in closed
+    form from the train's Cayley-Klein pair (a, b): mx = Re(a*conj(b)) and
+    my = -Im(a*conj(b)).  A pair whose norm, the trace of the final state,
+    is not 1 raises ValueError, so drift cannot pass silently.
     """
     if not theta > 0:
         raise ValueError(f"flip angle must be positive, got {theta}")
-    total = theta * len(spec.strategy.terms(l))
+    terms = spec.strategy.terms(l)
+    total = theta * len(terms)
     if total > math.pi / 2:
         raise ValueError(
             f"total flip angle {total:.4f} exceeds pi/2; "
@@ -191,10 +235,17 @@ def simulate_experiment(
             "expect visible deviation from the analytic sum",
             stacklevel=2,
         )
-    seq = PulseSequence.from_sum_spec(N, l, spec, theta)
-    final = apply_sequence(seq, thermal_state())
-    mx = final.expectation(_IX)
-    my = final.expectation(_IY)
+    phases = _residue_phases(N, l, spec.order, terms)
+    a, b = _train_rotation(
+        zip(repeat(math.cos(theta / 2)), repeat(math.sin(theta / 2)), phases)
+    )
+    # the rotated pure up state is [[|a|^2, a*conj(b)], [conj(a)*b, |b|^2]]:
+    # Hermitian by construction, eigenvalues 0 and its trace |a|^2 + |b|^2
+    trace = abs(a) ** 2 + abs(b) ** 2
+    if abs(trace - 1) > _TRACE_TOL:
+        raise ValueError(f"density matrix trace {trace} is not 1")
+    coherence = a * b.conjugate()
+    mx, my = coherence.real, -coherence.imag
     transverse = math.hypot(mx, my)
     reference = 0.5 * math.sin(total)
     return MagnetizationReading(mx, my, transverse, transverse / reference)

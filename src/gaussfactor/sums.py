@@ -69,10 +69,7 @@ class Complete:
     def terms(self, l: int) -> range:
         """Every residue of l; refuses l above COMPLETE_SUM_CAP."""
         if l > COMPLETE_SUM_CAP:
-            raise ValueError(
-                f"complete sum over l={l} exceeds the cap {COMPLETE_SUM_CAP}; "
-                "pass allow_large=True to force it"
-            )
+            raise ValueError(f"complete sum over l={l} exceeds the cap {COMPLETE_SUM_CAP}")
         return range(l)
 
 

@@ -277,6 +277,27 @@ class TestSimulate:
         assert code == 1
         assert "mutually exclusive" in err
 
+    def test_small_angle_warning_is_one_plain_line(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--n", "15", "--l", "4",
+            "--truncation", "19", "--theta", "0.03",
+        )
+        assert code == 0
+        assert out.startswith("l,epsilon,mx,my")
+        assert err.startswith("warning: total flip angle 0.6000 above 0.5; ")
+        assert err.count("\n") == 1
+        assert "cli.py" not in err and "UserWarning" not in err
+
+    def test_long_train_stays_a_rotation(self, capsys):
+        # 65537 pulses: the per-pulse matrix product drifted past the trace
+        # check here and exited 3
+        code, out, err = run(
+            capsys, "simulate", "--n", N12, "--l", "65537", "--complete",
+            "--theta", "1e-6",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].endswith(",65537")
+
     def test_oversized_angle_is_a_domain_error(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--n", N12, "--l", "1299709",
@@ -293,6 +314,20 @@ class TestExitCodes:
         )
         assert code == 1
         assert "exactly one strategy" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--count", "3"), "randomized strategy needs both --count and --m-max"),
+            (("--m-max", "3"), "randomized strategy needs both --count and --m-max"),
+            ((), "exactly one strategy: --truncation M, or --count K with --m-max, "
+                 "or --complete"),
+        ],
+        ids=["count", "m-max", "none"],
+    )
+    def test_strategy_errors_name_flags(self, capsys, flags, message):
+        code, _, err = run(capsys, "scan", "--n", N12, *flags)
+        assert (code, err) == (1, f"error: {message}\n")
 
     def test_backwards_window(self, capsys):
         code, _, err = run(
@@ -313,6 +348,8 @@ class TestExitCodes:
         code, _, err = run(capsys, "classify", "--n", "10", "--l", "10000001", "--complete")
         assert code == 3
         assert "cap" in err
+        # no flag reaches complete_gauss_sum's allow_large
+        assert "allow_large" not in err
 
     def test_unwritable_output_path(self, capsys):
         code, _, err = run(
@@ -497,6 +534,26 @@ class TestReproduceFigure:
         assert out == ""
         assert err.startswith(f"error: figure {figure}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "figure, change, named",
+        [
+            ("3", {"middle": {**BUNDLED["3"]["middle"], "m_max": None}}, "m_max"),
+            ("2", {"random_count": 1.5}, "random_count"),
+            ("2", {"random_m_max": None}, "random_m_max"),
+            ("2", {"random_seed": "0"}, "random_seed"),
+        ],
+        ids=["3-m_max", "2-random_count", "2-random_m_max", "2-random_seed"],
+    )
+    def test_strategy_errors_name_config_fields(
+        self, tmp_path, capsys, figure, change, named
+    ):
+        path = tmp_path / "fig.json"
+        path.write_text(json.dumps({figure: {**BUNDLED[figure], **change}}))
+        code, _, err = run(capsys, "reproduce-figure", figure, "--config", str(path))
+        assert code == 1
+        assert named in err
+        assert "--" not in err
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "fig4.csv"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussfactor.spinsim as spinsim
 import gaussfactor.sums as sums
 from gaussfactor import (
     SIGMA_X,
@@ -21,6 +22,7 @@ from gaussfactor import (
     SpinState,
     SumSpec,
     apply_sequence,
+    complete_gauss_sum,
     evaluate,
     phase_fraction,
     pulse_propagator,
@@ -29,6 +31,7 @@ from gaussfactor import (
     small_angle_error,
     thermal_state,
 )
+from gaussfactor.cli import main
 from gaussfactor.ghost import N_TWELVE_DIGIT, WINDOW_TWELVE_DIGIT
 
 FULL19 = SumSpec(FullTruncation(19))
@@ -129,6 +132,21 @@ class TestApplySequence:
         my = out.expectation(SIGMA_Y / 2)
         assert math.hypot(mx, my) <= 0.5 + 1e-12
 
+    @given(
+        pulses=st.lists(st.tuples(angles, phases), min_size=1, max_size=64),
+        polarization=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=150)
+    def test_matches_the_ordered_matrix_product(self, pulses, polarization):
+        seq = PulseSequence(tuple(PulseSpec(t, ph) for t, ph in pulses))
+        initial = thermal_state(polarization)
+        u = np.eye(2, dtype=complex)
+        for pulse in seq.pulses:
+            u = pulse_propagator(pulse) @ u
+        want = u @ initial.rho @ u.conj().T
+        got = apply_sequence(seq, initial).rho
+        assert np.abs(got - want).max() <= 1e-14
+
 
 class TestFromSumSpec:
     def test_full_truncation_phases(self):
@@ -210,6 +228,29 @@ class TestSimulateExperiment:
         for l in (1299702, 1299711, 1299725):
             r = simulate_experiment(N_TWELVE_DIGIT, l, FULL19, 0.0025)
             assert 0.0 <= r.normalized_signal <= 1.0 + 1e-9
+
+    def test_long_train_keeps_its_trace(self):
+        # 65537 pulses: a per-pulse matrix product drifts about 1.5e-12 off
+        # a trace of 1 here and used to fail the state check
+        theta, l = 1e-6, 65537
+        r = simulate_experiment(N_TWELVE_DIGIT, l, SumSpec(Complete()), theta)
+        analytic = complete_gauss_sum(N_TWELVE_DIGIT, l).magnitude
+        assert abs(r.normalized_signal - analytic) <= (theta * l) ** 2 + 1e-9
+
+    def test_drifted_rotation_is_refused(self, monkeypatch, capsys):
+        # a pair of norm 1 + 1e-9 is a final state of trace 1 + 1e-9
+        drifted = (math.sqrt(1 + 1e-9) + 0j, 0j)
+        monkeypatch.setattr(spinsim, "_train_rotation", lambda pulses: drifted)
+        with pytest.raises(ValueError, match="trace"):
+            simulate_experiment(N_TWELVE_DIGIT, NONFACTOR_L, FULL19, 0.002)
+        code = main([
+            "simulate", "--n", str(N_TWELVE_DIGIT), "--l", str(NONFACTOR_L),
+            "--truncation", "19", "--theta", "0.002",
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("domain error: density matrix trace ")
+        assert "Traceback" not in err
 
     def test_reading_guards(self):
         with pytest.raises(ValueError):
