@@ -1,0 +1,97 @@
+"""The golden CLI corpus: argv, exit code and stdout of each recorded run.
+
+`tests/golden/index.json` lists every case with its argv, exit code and
+stdout sha256, plus the platform tag of the machine that recorded it;
+`tests/golden/<name>.out` holds the stdout itself.  `tests/test_golden.py`
+replays the cases in-process.
+
+Regenerate the corpus after an intended output change (and list each
+changed case in CHANGES.md):
+
+    PYTHONPATH=src python tests/golden_corpus.py
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+from pathlib import Path
+
+import numpy as np
+
+from gaussfactor.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INDEX = GOLDEN / "index.json"
+
+N12 = "1689259081189"
+N17 = "32193216510801043"
+_STRATEGIES = {
+    "truncation19": ["--truncation", "19"],
+    "random10": ["--count", "10", "--m-max", "1000", "--seed", "0"],
+    "order5": ["--truncation", "10", "--order", "5"],
+}
+
+# name -> argv; the README examples are looked up here by argv
+CASES: dict[str, list[str]] = {
+    **{f"figure-{k}": ["reproduce-figure", str(k)] for k in range(1, 6)},
+    **{
+        f"{command}-{digits}-{strategy}": [command, "--n", n, *flags, *extra]
+        for command, extra in (("scan", []), ("simulate", ["--theta", "0.0025"]))
+        for digits, n in (("12", N12), ("17", N17))
+        for strategy, flags in _STRATEGIES.items()
+    },
+    "classify-12-complete": ["classify", "--n", N12, "--l", "1299711", "--complete"],
+    "scan-17-complete-cap": ["scan", "--n", N17, "--complete"],
+    "scan-17-json": ["scan", "--n", N17, "--truncation", "19", "--format", "json"],
+    "scan-unknown-flag": ["scan", "--n", N12, "--truncation", "19", "--bogus"],
+    "classify-12-factor": ["classify", "--n", N12, "--l", "1299709", "--truncation", "19"],
+    "suppression-1e-4": ["suppression", "--epsilon", "1e-4"],
+    "scaling-readme": [
+        "scaling", "--case", "10403:2:101", "--case", f"{N12}:1299699:1299731",
+    ],
+    "simulate-12-factor": [
+        "simulate", "--n", N12, "--l", "1299709", "--truncation", "19", "--theta", "0.0025",
+    ],
+    "classify-15-4": ["classify", "--n", "15", "--l", "4", "--truncation", "3"],
+}
+
+
+def platform_tag() -> dict[str, str]:
+    """What decides the last bits of the floats: machine, libm and numpy."""
+    return {
+        "machine": platform.machine(),
+        "libc": " ".join(platform.libc_ver()),
+        "numpy": np.__version__,
+    }
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of cli.main(argv), run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.glob("*.out"):
+        stale.unlink()
+    cases = []
+    for name, argv in CASES.items():
+        code, out = run(argv)
+        (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
+        cases.append({"name": name, "argv": argv, "exit": code, "sha256": sha256(out)})
+    index = {"platform": platform_tag(), "cases": cases}
+    INDEX.write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()
