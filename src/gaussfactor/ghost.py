@@ -9,20 +9,20 @@ measure how that requirement scales with the sum order.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from math import hypot, sqrt
 from typing import Iterable, Sequence
 
-from .numtheory import Epsilon, epsilon, is_factor
+from .numtheory import Epsilon, _check_order, epsilon, is_factor
 from .sums import (
     Randomized,
     SumSpec,
     SumValue,
+    _curlicue_phases,
     _residue_phases,
     _running_sums,
     evaluate,
-    iter_curlicue_magnitudes,
 )
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
     "DEFAULT_WINDOWS",
 ]
 
-GHOST_THRESHOLD = 1 / math.sqrt(2)
+GHOST_THRESHOLD = 1 / sqrt(2)
 # finite-M magnitudes land near 1/sqrt(2), not on it; the slack keeps exact
 # threshold cases out of the ghost class and the band gives them a home
 GHOST_SLACK = 1e-9
@@ -103,6 +103,22 @@ def classify(N: int, l: int, spec: SumSpec) -> ClassifiedTrial:
     return ClassifiedTrial(l, eps, value, cls, spec)
 
 
+def _first_suppressed(walks: Sequence[Iterable], threshold: float) -> int | None:
+    """First M at which every _running_sums walk has |s_M| <= threshold.
+
+    |s_M| is the partial sum over M + 1 terms, and the comparison allows
+    GHOST_SLACK.  The walks advance in lockstep; None once they run out.
+    """
+    bar = threshold + GHOST_SLACK
+    for M, steps in enumerate(zip(*walks)):
+        for _, _, re, im in steps:
+            if not hypot(re, im) / (M + 1) <= bar:
+                break
+        else:
+            return M
+    return None
+
+
 def min_suppression_M(
     eps: float,
     n: int = 2,
@@ -121,12 +137,8 @@ def min_suppression_M(
         raise ValueError("eps = 0 is the factor case and never suppresses")
     if m_cap < 1:
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")
-    for m, mag in iter_curlicue_magnitudes(eps, n):
-        if mag <= threshold + GHOST_SLACK:
-            return m
-        if m >= m_cap:
-            return None
-    raise AssertionError("unreachable")
+    walk = _running_sums(_curlicue_phases(eps, n, range(m_cap + 1)))
+    return _first_suppressed([walk], threshold)
 
 
 def scan_window(
@@ -166,8 +178,7 @@ def scaling_study(
     """
     if not cases:
         raise ValueError("scaling study needs at least one (N, window) case")
-    if n < 2:
-        raise ValueError(f"sum order must be >= 2, got {n}")
+    _check_order(n)
     if m_cap < 1:
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")
     rows: list[ScalingRow] = []
@@ -185,14 +196,7 @@ def scaling_study(
         worst = min((epsilon(N, l).magnitude for l in nonfactors))
         ms = range(m_cap + 1)
         walks = [_running_sums(_residue_phases(N, l, n, ms)) for l in nonfactors]
-        required: int | None = None
-        for M, partials in enumerate(zip(*walks)):
-            if not any(
-                math.hypot(re, im) / (M + 1) > threshold + GHOST_SLACK
-                for _, _, re, im in partials
-            ):
-                required = M
-                break
+        required = _first_suppressed(walks, threshold)
         rows.append(ScalingRow(N, (l_min, l_max), worst, required, root))
     return rows
 

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .numtheory import epsilon, phase_fraction
+from .numtheory import _check_order, _check_trial, epsilon
 from .rng import sample_without_replacement
 
 __all__ = [
@@ -117,8 +117,7 @@ class SumSpec:
     order: int = 2
 
     def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError(f"sum order must be >= 2, got {self.order}")
+        _check_order(self.order)
         if isinstance(self.strategy, Complete) and self.order != 2:
             raise ValueError("complete sums are only defined for order 2")
         if not isinstance(self.strategy, (FullTruncation, Complete, Randomized)):
@@ -158,8 +157,8 @@ def _mean_of_phases(phases: Iterable[float], count: int) -> SumValue:
 def _phases(a: int, q: int, n: int, ms: Iterable[int]) -> Iterator[float]:
     """The phases pi*((m**n * a) mod 2q)/q for m in ms, in order.
 
-    The curlicue phase of the exact fraction a/q: every sum, walk and pulse
-    train takes its phases from here, bar the numpy residue_magnitudes.
+    The curlicue phase of the exact fraction a/q: every sum, walk, pulse
+    train and residue sweep takes its phases from here.
     The reduction is exact and the integer-over-integer division comes
     first, so nothing larger than 2 ever meets a float.
     """
@@ -172,7 +171,10 @@ def _residue_phases(N: int, l: int, n: int, ms: Iterable[int]) -> Iterator[float
 
     N, l and n are checked before the first phase is asked for.
     """
-    phase_fraction(0, n, N, l)  # validates N, l, n
+    _check_trial(l)
+    _check_order(n)
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     # pi * 2r/l rounds exactly as tau * (r/l): scaling by 2 is exact
     return _phases(2 * (N % l), l, n, ms)
 
@@ -186,8 +188,7 @@ def _curlicue_phases(eps: float, n: int, ms: Iterable[int]) -> Iterator[float]:
     """
     if not math.isfinite(eps):
         raise ValueError(f"epsilon must be finite, got {eps}")
-    if n < 2:
-        raise ValueError(f"sum order must be >= 2, got {n}")
+    _check_order(n)
     p, q = eps.as_integer_ratio()
     return _phases(p, q, n, ms)
 
@@ -244,9 +245,8 @@ def curlicue_phase(m: int, n: int, p: int, q: int) -> float:
 
 def curlicue(eps: float, n: int, M: int) -> SumValue:
     """Normalized curlicue sum: mean of exp(i*pi*m**n*eps) for m = 0..M."""
-    if M < 0:
-        raise ValueError(f"truncation must be >= 0, got {M}")
-    return _mean_of_phases(_curlicue_phases(eps, n, range(M + 1)), M + 1)
+    ms = FullTruncation(M).terms(0)  # m = 0..M for any l
+    return _mean_of_phases(_curlicue_phases(eps, n, ms), len(ms))
 
 
 def randomized_sum(
@@ -287,25 +287,21 @@ def residue_magnitudes(l: int, n: int, M: int) -> np.ndarray:
 
     Entry t equals truncated_sum(N, l, n, M).magnitude for any N with
     N mod l = t.  Useful for exhaustive factor-characterization sweeps;
-    vectorized, so l is capped where (l-1)**2 still fits in int64.
+    vectorized over int64, so l is capped at 10**9.
     """
-    if l < 1:
-        raise ValueError(f"trial factor must be >= 1, got {l}")
-    if n < 2:
-        raise ValueError(f"sum order must be >= 2, got {n}")
-    if M < 0:
-        raise ValueError(f"truncation must be >= 0, got {M}")
+    _check_trial(l)
+    _check_order(n)
+    ms = FullTruncation(M).terms(l)
     if l > 10**9:
         raise ValueError(f"residue sweep over l={l} would overflow int64 products")
+    # the kernel forms pow(m, n, 2l) * 2t < 4 * l**2 <= 4e18 < 2**63
     t = np.arange(l, dtype=np.int64)
     acc_re = np.zeros(l)
     acc_im = np.zeros(l)
-    for m in range(M + 1):
-        r = (pow(m, n, l) * t) % l
-        ph = math.tau * (r / l)
+    for ph in _phases(2 * t, l, n, ms):
         acc_re += np.cos(ph)
         acc_im += np.sin(ph)
-    return np.hypot(acc_re, acc_im) / (M + 1)
+    return np.hypot(acc_re, acc_im) / len(ms)
 
 
 def iter_curlicue_magnitudes(eps: float, n: int) -> Iterator[tuple[int, float]]:
