@@ -216,7 +216,10 @@ def _sum_spec(names: dict[str, str], order: Any = 2, truncation: Any = None,
             strategy = Randomized(count, m_max, seed)
         return SumSpec(strategy, order)
     except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+        # the strategies word range errors as "<field> ...": name it as read
+        field, _, rest = str(exc).partition(" ")
+        message = f"{names[field]} {rest}" if field in named else str(exc)
+        raise ValidationError(message) from None
 
 
 def _flag_spec(args: argparse.Namespace) -> SumSpec:

@@ -90,6 +90,15 @@ class PulseSequence:
         return cls(tuple(PulseSpec(theta, phase) for phase in phases))
 
 
+def _hermitian_eigenvalues(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues (T - r)/2, (T + r)/2 of a 2x2 Hermitian matrix of trace T.
+
+    r = hypot(rho00 - rho11, 2|rho10|), read from the lower triangle.
+    """
+    r = math.hypot((rho[0, 0] - rho[1, 1]).real, 2 * abs(rho[1, 0]))
+    return (np.trace(rho).real + np.array([-r, r])) / 2
+
+
 class SpinState:
     """Validated 2x2 density matrix."""
 
@@ -103,8 +112,8 @@ class SpinState:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(rho) - 1) > _TRACE_TOL:
             raise ValueError(f"density matrix trace {np.trace(rho)} is not 1")
-        evals = np.linalg.eigvalsh(rho)
-        if evals.min() < -_EIGENVALUE_TOL or evals.max() > 1 + _EIGENVALUE_TOL:
+        evals = _hermitian_eigenvalues(rho)
+        if evals[0] < -_EIGENVALUE_TOL or evals[1] > 1 + _EIGENVALUE_TOL:
             raise ValueError(f"density matrix eigenvalues {evals} outside [0, 1]")
         self.rho = rho
 

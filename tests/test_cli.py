@@ -542,8 +542,17 @@ class TestReproduceFigure:
             ("2", {"random_count": 1.5}, "random_count"),
             ("2", {"random_m_max": None}, "random_m_max"),
             ("2", {"random_seed": "0"}, "random_seed"),
+            # range errors of the strategy itself
+            ("2", {"random_count": 0}, "random_count must be >= 1"),
+            ("2", {"random_count": 2000}, "random_count 2000 exceeds"),
+            ("2", {"random_m_max": -1}, "random_m_max must be in"),
+            ("2", {"random_seed": -1}, "random_seed must be in"),
         ],
-        ids=["3-m_max", "2-random_count", "2-random_m_max", "2-random_seed"],
+        ids=[
+            "3-m_max", "2-random_count", "2-random_m_max", "2-random_seed",
+            "2-random_count-0", "2-random_count-2000", "2-random_m_max-negative",
+            "2-random_seed-negative",
+        ],
     )
     def test_strategy_errors_name_config_fields(
         self, tmp_path, capsys, figure, change, named

@@ -106,6 +106,11 @@ class TestMinSuppression:
     def test_cap_yields_none(self):
         assert min_suppression_M(1e-8, m_cap=100) is None
 
+    def test_cap_is_inclusive(self):
+        # eps = 1e-4 first drops below threshold at M = 93
+        assert min_suppression_M(1e-4, m_cap=93) == 93
+        assert min_suppression_M(1e-4, m_cap=92) is None
+
     def test_custom_threshold(self):
         got = min_suppression_M(1e-2, threshold=0.3)
         assert got == naive_first_crossing(1e-2, 2, 0.3, 200)
@@ -224,6 +229,17 @@ class TestScalingStudy:
         row6 = scaling_study([(N_TWELVE_DIGIT, WINDOW_TWELVE_DIGIT)], 6)[0]
         assert row6.required_M == 9
         assert row6.root_2n == pytest.approx(N_TWELVE_DIGIT ** (1 / 12))
+
+    def test_cap_is_inclusive(self):
+        # the toy window first clears the threshold at M = 9
+        assert scaling_study([(10403, (2, 101))], 2, m_cap=9)[0].required_M == 9
+        assert scaling_study([(10403, (2, 101))], 2, m_cap=8)[0].required_M is None
+
+    def test_nan_threshold_never_suppresses(self):
+        # both searches count a walk as suppressed only where |s_M| <= threshold
+        row = scaling_study([(10403, (2, 101))], 2, threshold=math.nan, m_cap=50)[0]
+        assert row.required_M is None
+        assert min_suppression_M(1e-3, threshold=math.nan, m_cap=50) is None
 
     def test_window_of_factors_needs_nothing(self):
         row = scaling_study([(6, (2, 3))], 2)[0]

@@ -20,7 +20,7 @@ import golden_corpus
 INDEX = json.loads(golden_corpus.INDEX.read_text(encoding="utf-8"))
 SAME_PLATFORM = INDEX["platform"] == golden_corpus.platform_tag()
 README = Path(__file__).resolve().parents[1] / "README.md"
-FLOAT_TOL = 1e-12
+FLOAT_TOL = 1e-12  # absolute, and relative for cells above 1
 
 
 def _readme_examples() -> dict[tuple[str, ...], list[str]]:

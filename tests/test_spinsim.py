@@ -95,6 +95,18 @@ class TestSpinState:
         with pytest.raises(ValueError):
             SpinState(np.eye(3) / 3)
 
+    @given(
+        a=st.floats(-1e3, 1e3),
+        d=st.floats(-1e3, 1e3),
+        off=st.complex_numbers(max_magnitude=1e3),
+    )
+    @settings(max_examples=500, derandomize=True)
+    def test_closed_form_eigenvalues_match_eigvalsh(self, a, d, off):
+        rho = np.array([[a, off.conjugate()], [off, d]])
+        got = spinsim._hermitian_eigenvalues(rho)
+        gap = np.abs(got - np.linalg.eigvalsh(rho)).max()
+        assert gap <= 4e-15 * np.abs(rho).max()
+
 
 class TestApplySequence:
     def test_empty_train_is_identity(self):

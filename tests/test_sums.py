@@ -2,9 +2,11 @@
 import cmath
 import math
 import random
+import re
 import statistics
 from math import fsum
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,6 +243,23 @@ class TestResidueMagnitudes:
                 want = truncated_sum(t, l, n, M).magnitude
                 assert bulk[t] == pytest.approx(want, abs=1e-12)
 
+    def test_bits_match_the_direct_sweep(self):
+        # phases as tau * (r / l), written out apart from the kernel
+        def direct(l, n, M):
+            t = np.arange(l, dtype=np.int64)
+            acc_re, acc_im = np.zeros(l), np.zeros(l)
+            for m in range(M + 1):
+                ph = math.tau * (((pow(m, n, l) * t) % l) / l)
+                acc_re += np.cos(ph)
+                acc_im += np.sin(ph)
+            return np.hypot(acc_re, acc_im) / (M + 1)
+
+        for l in (1, 2, 97, 360, 4999):
+            for n in (2, 3, 6):
+                for M in (0, 1, 19, 39):
+                    got = residue_magnitudes(l, n, M)
+                    assert got.tobytes() == direct(l, n, M).tobytes(), (l, n, M)
+
     def test_factor_residue_is_unity(self):
         bulk = residue_magnitudes(360, 2, 7)
         assert bulk[0] == pytest.approx(1.0, abs=1e-12)
@@ -254,6 +273,20 @@ class TestResidueMagnitudes:
             residue_magnitudes(97, 2, -1)
         with pytest.raises(ValueError):
             residue_magnitudes(10**9 + 1, 2, 5)
+
+
+class TestResiduePhases:
+    @pytest.mark.parametrize(
+        "N, l, n, message",
+        [
+            (5, 0, 2, "trial factor must be >= 1, got 0"),
+            (5, 7, 1, "sum order must be >= 2, got 1"),
+            (-1, 7, 2, "N must be >= 0, got -1"),
+        ],
+    )
+    def test_checks_before_the_first_phase(self, N, l, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sums._residue_phases(N, l, n, range(3))
 
 
 class TestSpecAndValue:
