@@ -106,7 +106,7 @@ def classify(N: int, l: int, spec: SumSpec) -> ClassifiedTrial:
 def _first_suppressed(walks: Sequence[Iterable], threshold: float) -> int | None:
     """First M at which every _running_sums walk has |s_M| <= threshold.
 
-    |s_M| is the partial sum over M + 1 terms, and the comparison allows
+    s_M is the mean of a walk's first M + 1 terms, and the comparison allows
     GHOST_SLACK.  The walks advance in lockstep; None once they run out.
     """
     bar = threshold + GHOST_SLACK
