@@ -14,6 +14,7 @@ __all__ = [
     "phase_fraction",
     "epsilon",
     "is_factor",
+    "jacobi",
     "brute_force_factorize",
 ]
 
@@ -23,9 +24,9 @@ def _check_trial(l: int) -> None:
         raise ValueError(f"trial factor must be >= 1, got {l}")
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int, name: str = "sum order") -> None:
     if n < 2:
-        raise ValueError(f"sum order must be >= 2, got {n}")
+        raise ValueError(f"{name} must be >= 2, got {n}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,27 @@ def is_factor(N: int, l: int) -> bool:
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     return N % l == 0
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n >= 1: 1, -1, or 0 when gcd(a, n) > 1.
+
+    Exact, in O(log n) steps: strip the factors of 2 from a by the second
+    supplement, then swap a and n by quadratic reciprocity.
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"Jacobi symbol needs odd n >= 1, got {n}")
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):  # (2/n) = -1
+                sign = -sign
+        if a & n & 2:  # a = n = 3 mod 4
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 # Increments between consecutive integers coprime to 2*3*5*7, starting at 11.

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .numtheory import _check_order, _check_trial, epsilon
+from .numtheory import _check_order, _check_trial, epsilon, jacobi
 from .rng import sample_without_replacement
 
 __all__ = [
@@ -43,8 +43,13 @@ __all__ = [
     "COMPLETE_SUM_CAP",
 ]
 
-# Complete sums cost O(l) terms; refuse silly l unless overridden.
+# A complete pulse train has l pulses; refuse silly l unless overridden.
 COMPLETE_SUM_CAP = 10**7
+
+
+def _check_complete_cap(l: int) -> None:
+    if l > COMPLETE_SUM_CAP:
+        raise ValueError(f"complete sum over l={l} exceeds the cap {COMPLETE_SUM_CAP}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +73,7 @@ class Complete:
 
     def terms(self, l: int) -> range:
         """Every residue of l; refuses l above COMPLETE_SUM_CAP."""
-        if l > COMPLETE_SUM_CAP:
-            raise ValueError(f"complete sum over l={l} exceeds the cap {COMPLETE_SUM_CAP}")
+        _check_complete_cap(l)
         return range(l)
 
 
@@ -117,7 +121,8 @@ class SumSpec:
     order: int = 2
 
     def __post_init__(self) -> None:
-        _check_order(self.order)
+        # worded by field name, like the strategies' range errors
+        _check_order(self.order, "order")
         if isinstance(self.strategy, Complete) and self.order != 2:
             raise ValueError("complete sums are only defined for order 2")
         if not isinstance(self.strategy, (FullTruncation, Complete, Randomized)):
@@ -217,13 +222,42 @@ def _residue_mean(N: int, l: int, n: int, ms: Sequence[int]) -> SumValue:
     return _mean_of_phases(_residue_phases(N, l, n, ms), len(ms))
 
 
-def complete_gauss_sum(N: int, l: int, *, allow_large: bool = False) -> SumValue:
-    """Normalized quadratic Gauss sum over all l residues.
+def _complete_mean(t: int, l: int) -> tuple[float, float]:
+    """Mean of e(t m**2 / l) over m < l as (real, imag), in closed form.
 
-    O(l) work; refuses l above COMPLETE_SUM_CAP unless allow_large is set.
+    With d = gcd(t, l), a = t/d and c = l/d the mean is G(a, c)/c, and the
+    Gauss sum G has the classical evaluation (Berndt, Evans & Williams,
+    Gauss and Jacobi Sums, ch. 1): (a/c) eps_c sqrt(c) for odd c, 0 for
+    c = 2 mod 4, and (1 + i) conj(eps_a) (c/a) sqrt(c) for c = 0 mod 4,
+    where eps_k is 1 for k = 1 mod 4 and i for k = 3 mod 4.  Integers
+    decide the sign and the quarter turn; the one float is 1/sqrt(c).
     """
-    ms = range(l) if allow_large else Complete().terms(l)
-    return _residue_mean(N, l, 2, ms)
+    d = math.gcd(t, l)
+    a, c = t // d, l // d
+    if c == 1:
+        return 1.0, 0.0
+    if c % 4 == 2:
+        return 0.0, 0.0
+    if c % 2:
+        s = jacobi(a, c) / math.sqrt(c)
+        return (s, 0.0) if c % 4 == 1 else (0.0, s)
+    # c = 0 mod 4 makes a odd; (1 + i) conj(eps_a) is 1 + i or 1 - i
+    s = jacobi(c, a) / math.sqrt(c)
+    return (s, s) if a % 4 == 1 else (s, -s)
+
+
+def complete_gauss_sum(N: int, l: int, *, allow_large: bool = False) -> SumValue:
+    """Normalized quadratic Gauss sum over all l residues, in closed form.
+
+    O(log l) integer steps (see _complete_mean); term_count is still l.
+    Refuses l above COMPLETE_SUM_CAP unless allow_large is set.
+    """
+    _check_trial(l)
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    if not allow_large:
+        _check_complete_cap(l)
+    return SumValue(*_complete_mean(N % l, l), l)
 
 
 def truncated_sum(N: int, l: int, n: int, M: int) -> SumValue:
@@ -279,6 +313,8 @@ def curlicue_equivalence_check(N: int, l: int, n: int, M: int) -> bool:
 
 def evaluate(N: int, l: int, spec: SumSpec) -> SumValue:
     """Evaluate the sum a SumSpec describes at trial factor l."""
+    if isinstance(spec.strategy, Complete):
+        return complete_gauss_sum(N, l)
     return _residue_mean(N, l, spec.order, spec.strategy.terms(l))
 
 

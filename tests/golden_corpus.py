@@ -43,7 +43,14 @@ CASES: dict[str, list[str]] = {
         for digits, n in (("12", N12), ("17", N17))
         for strategy, flags in _STRATEGIES.items()
     },
+    # one per branch of the closed form, by c = l / gcd(N mod l, l); 1299711
+    # has c = 3 mod 4
     "classify-12-complete": ["classify", "--n", N12, "--l", "1299711", "--complete"],
+    "classify-12-complete-factor": ["classify", "--n", N12, "--l", "1299709", "--complete"],
+    "classify-12-complete-c1mod4": ["classify", "--n", N12, "--l", "1299701", "--complete"],
+    "classify-12-complete-c2mod4": ["classify", "--n", N12, "--l", "1299718", "--complete"],
+    "classify-12-complete-c0mod4": ["classify", "--n", N12, "--l", "1299716", "--complete"],
+    "scan-12-complete": ["scan", "--n", N12, "--window", "1299699:1299731", "--complete"],
     "scan-17-complete-cap": ["scan", "--n", N17, "--complete"],
     "scan-17-json": ["scan", "--n", N17, "--truncation", "19", "--format", "json"],
     "scan-unknown-flag": ["scan", "--n", N12, "--truncation", "19", "--bogus"],

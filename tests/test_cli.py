@@ -329,6 +329,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "scan", "--n", N12, *flags)
         assert (code, err) == (1, f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", sorted(STRATEGY_COMMANDS))
+    def test_order_range_error_names_the_flag(self, capsys, command):
+        argv = (*STRATEGY_COMMANDS[command], "--truncation", "3", "--order", "1")
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (1, "error: --order must be >= 2, got 1\n")
+
     def test_backwards_window(self, capsys):
         code, _, err = run(
             capsys, "scan", "--n", N12, "--truncation", "19", "--window", "5:4"
@@ -547,11 +553,13 @@ class TestReproduceFigure:
             ("2", {"random_count": 2000}, "random_count 2000 exceeds"),
             ("2", {"random_m_max": -1}, "random_m_max must be in"),
             ("2", {"random_seed": -1}, "random_seed must be in"),
+            ("3", {"upper": {"order": 1, "truncation": 19}},
+             "figure 3: order must be >= 2, got 1"),
         ],
         ids=[
             "3-m_max", "2-random_count", "2-random_m_max", "2-random_seed",
             "2-random_count-0", "2-random_count-2000", "2-random_m_max-negative",
-            "2-random_seed-negative",
+            "2-random_seed-negative", "3-order",
         ],
     )
     def test_strategy_errors_name_config_fields(

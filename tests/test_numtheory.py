@@ -12,6 +12,7 @@ from gaussfactor import (
     is_factor,
     phase_fraction,
 )
+from gaussfactor.numtheory import jacobi
 
 N12 = 1689259081189
 N12_FACTORS = (1299709, 1299721)
@@ -196,3 +197,22 @@ class TestBruteForceFactorize:
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             brute_force_factorize(1)
+
+
+class TestJacobi:
+    def test_eulers_criterion_at_odd_primes_below_500(self):
+        for p in filter(slow_is_prime, range(3, 500, 2)):
+            for a in range(-p, 2 * p):
+                euler = pow(a, (p - 1) // 2, p)
+                assert jacobi(a, p) == (-1 if euler == p - 1 else euler), (a, p)
+
+    def test_multiplicative_in_the_modulus(self):
+        for n in range(1, 200, 2):
+            for k in range(1, 60, 2):
+                for a in (-7, 0, 2, 3, 10, 12345):
+                    assert jacobi(a, n * k) == jacobi(a, n) * jacobi(a, k)
+
+    def test_rejects_even_or_nonpositive_modulus(self):
+        for n in (0, 2, 10, -3):
+            with pytest.raises(ValueError, match="odd n >= 1"):
+                jacobi(1, n)

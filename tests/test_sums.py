@@ -4,20 +4,24 @@ import math
 import random
 import re
 import statistics
+import timeit
 from math import fsum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import complete_sum_by_terms
 
 import gaussfactor.sums as sums
 from gaussfactor import (
+    COMPLETE_SUM_CAP,
     Complete,
     FullTruncation,
     Randomized,
     SumSpec,
     SumValue,
+    classify,
     complete_gauss_sum,
     curlicue,
     curlicue_equivalence_check,
@@ -73,6 +77,53 @@ class TestCompleteSum:
             complete_gauss_sum(15, 51)
         v = complete_gauss_sum(102, 51, allow_large=True)
         assert v.magnitude == pytest.approx(1.0, abs=1e-12)
+
+
+class TestClosedFormCompleteSum:
+    def test_every_residue_below_2000_matches_an_fft_oracle(self):
+        # the mean of e(t m^2 / l) over m < l is the inverse DFT, at t, of
+        # how often each residue m^2 mod l occurs
+        for l in range(1, 2000):
+            m = np.arange(l, dtype=np.int64)
+            want = np.fft.ifft(np.bincount(m * m % l, minlength=l))
+            got = np.array([sums._complete_mean(t, l) for t in range(l)]) @ [1, 1j]
+            assert np.abs(got - want).max() <= 1e-12, l
+
+    def test_every_residue_below_120_matches_the_sum_by_terms(self):
+        for l in range(1, 120):
+            for t in range(l):
+                for N in (t, t + 10**15 * l):
+                    v = complete_gauss_sum(N, l)
+                    w = complete_sum_by_terms(N, l)
+                    assert v.term_count == w.term_count == l
+                    assert abs(v.real_part - w.real_part) <= 1e-12, (N, l)
+                    assert abs(v.imag_part - w.imag_part) <= 1e-12, (N, l)
+
+    def test_every_residue_below_120_keeps_its_class(self):
+        # FullTruncation(l - 1) takes the same m = 0..l-1 term by term, so
+        # threshold cases like (15, 4), at exactly 1/sqrt(2), must agree too
+        for l in range(2, 120):
+            for t in range(l):
+                closed = classify(t, l, SumSpec(Complete()))
+                by_terms = classify(t, l, SumSpec(FullTruncation(l - 1)))
+                assert closed.trial_class == by_terms.trial_class, (t, l)
+
+    @pytest.mark.parametrize(
+        "l", [1299709, 1299701, 1299711, 1299718, 1299716],
+        ids=["factor", "c=1mod4", "c=3mod4", "c=2mod4", "c=0mod4"],
+    )
+    def test_each_branch_at_twelve_digits(self, l):
+        # c = l / gcd(N mod l, l) picks the branch
+        m = np.arange(l, dtype=np.int64)
+        want = np.exp(2j * np.pi * ((m * m % l) * (N12 % l) % l / l)).mean()
+        v = complete_gauss_sum(N12, l)
+        assert abs(complex(v.real_part, v.imag_part) - want) <= 1e-12
+
+    def test_runs_in_well_under_a_millisecond(self):
+        # the term-by-term loop took about 0.5 s at this l
+        for l in (1299711, COMPLETE_SUM_CAP - 1):
+            best = min(timeit.repeat(lambda: complete_gauss_sum(N12, l), number=1, repeat=5))
+            assert best < 1e-3
 
 
 class TestCurlicue:
