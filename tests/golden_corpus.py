@@ -63,6 +63,20 @@ CASES: dict[str, list[str]] = {
         "simulate", "--n", N12, "--l", "1299709", "--truncation", "19", "--theta", "0.0025",
     ],
     "classify-15-4": ["classify", "--n", "15", "--l", "4", "--truncation", "3"],
+    # edges of the batched residue kernel: a window of 200 l at 201 terms
+    # spans three blocks, l = 2**32 - 1 and 2**32 sit on either side of its
+    # uint64 bound, m_max = 2**64 - 1 is the largest m a draw can hold, and
+    # order 1000003 needs square-and-multiply
+    "scan-12-blocks": ["scan", "--n", N12, "--window", "1299601:1299800", "--truncation", "200"],
+    "classify-17-below-bound": ["classify", "--n", N17, "--l", "4294967295", "--truncation", "19"],
+    "classify-17-above-bound": ["classify", "--n", N17, "--l", "4294967296", "--truncation", "19"],
+    "classify-12-m-max-2e64": [
+        "classify", "--n", N12, "--l", "1299711", "--count", "10",
+        "--m-max", "18446744073709551615",
+    ],
+    "classify-12-order-1000003": [
+        "classify", "--n", N12, "--l", "1299711", "--order", "1000003", "--truncation", "19",
+    ],
 }
 
 
