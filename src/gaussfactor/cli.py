@@ -16,7 +16,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Callable, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import ghost, spinsim
 from .numtheory import epsilon
@@ -293,21 +293,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _per_trial(
-    N: int, lo: int, hi: int, row: Callable[[int], list[Any]]
-) -> list[list[Any]]:
-    """row(l) for every l in [lo, hi]; a domain violation names N and its l."""
+def _per_trial(N: int, lo: int, hi: int, cells: Iterator[list[Any]]) -> list[list[Any]]:
+    """The next row of cells for each l in [lo, hi]; a domain violation names N and l."""
     rows = []
     for l in range(lo, hi + 1):
         try:
-            rows.append(row(l))
+            rows.append(next(cells))
         except ValueError as exc:
             raise DomainError(f"{exc} (N={N}, l={l})") from exc
     return rows
 
 
 def _classified_rows(N: int, lo: int, hi: int, spec: SumSpec) -> list[list[Any]]:
-    return _per_trial(N, lo, hi, lambda l: _result_cells(ghost.classify(N, l, spec)))
+    return _per_trial(N, lo, hi, map(_result_cells, ghost.iter_scan_window(N, lo, hi, spec)))
 
 
 def _run_scan(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
@@ -366,7 +364,7 @@ def _run_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
         ]
 
     header = ["l", "epsilon", "mx", "my", "transverse", "normalized_signal", "term_count"]
-    return header, _per_trial(n_value, lo, hi, row)
+    return header, _per_trial(n_value, lo, hi, map(row, range(lo, hi + 1)))
 
 
 def _load_figure_defaults(path: str | None) -> dict[str, Any]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import hypot, sqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .numtheory import Epsilon, _check_order, epsilon, is_factor
 from .sums import (
@@ -23,6 +23,7 @@ from .sums import (
     _residue_phases,
     _running_sums,
     evaluate,
+    evaluate_many,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "classify",
     "min_suppression_M",
     "scan_window",
+    "iter_scan_window",
     "scaling_study",
     "randomized_success_fraction",
     "N_TWELVE_DIGIT",
@@ -90,13 +92,18 @@ def classify(N: int, l: int, spec: SumSpec) -> ClassifiedTrial:
     """
     if l < 2:
         raise ValueError(f"trial factors start at 2, got {l}")
+    return _classified(N, l, evaluate(N, l, spec), spec)
+
+
+def _classified(N: int, l: int, value: SumValue, spec: SumSpec) -> ClassifiedTrial:
+    """The one classification rule, applied to l's sum value."""
     eps = epsilon(N, l)
-    value = evaluate(N, l, spec)
+    magnitude = value.magnitude
     if eps.is_zero:
         cls = TrialClass.FACTOR
-    elif value.magnitude > GHOST_THRESHOLD + GHOST_SLACK:
+    elif magnitude > GHOST_THRESHOLD + GHOST_SLACK:
         cls = TrialClass.GHOST_FACTOR
-    elif abs(value.magnitude - GHOST_THRESHOLD) <= THRESHOLD_BAND:
+    elif abs(magnitude - GHOST_THRESHOLD) <= THRESHOLD_BAND:
         cls = TrialClass.THRESHOLD_NON_FACTOR
     else:
         cls = TrialClass.TYPICAL_NON_FACTOR
@@ -145,9 +152,21 @@ def scan_window(
     N: int, l_min: int, l_max: int, spec: SumSpec
 ) -> list[ClassifiedTrial]:
     """Classify every integer trial factor in [l_min, l_max], in order."""
+    return list(iter_scan_window(N, l_min, l_max, spec))
+
+
+def iter_scan_window(
+    N: int, l_min: int, l_max: int, spec: SumSpec
+) -> Iterator[ClassifiedTrial]:
+    """scan_window's trials one at a time, their sums evaluated block by block.
+
+    The window is checked on the call; a trial's errors arise when it is read.
+    """
     if not 2 <= l_min <= l_max:
         raise ValueError(f"invalid window [{l_min}, {l_max}]")
-    return [classify(N, l, spec) for l in range(l_min, l_max + 1)]
+    ls = range(l_min, l_max + 1)
+    values = evaluate_many(N, ls, spec)
+    return (_classified(N, l, value, spec) for l, value in zip(ls, values))
 
 
 @dataclass(frozen=True)
@@ -225,11 +244,10 @@ def randomized_success_fraction(
         raise ValueError("need at least one seed")
     if not nonfactors:
         return 1.0
+    bar = threshold + GHOST_SLACK
     successes = 0
     for seed in seed_list:
-        spec = SumSpec(Randomized(count, m_max, seed), n)
-        if not any(
-            evaluate(N, l, spec).magnitude > threshold + GHOST_SLACK for l in nonfactors
-        ):
+        values = evaluate_many(N, nonfactors, SumSpec(Randomized(count, m_max, seed), n))
+        if not any(value.magnitude > bar for value in values):
             successes += 1
     return successes / len(seed_list)

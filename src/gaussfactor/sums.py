@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, groupby, islice
 from itertools import count as _naturals
 from math import fsum
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "randomized_sum",
     "curlicue_equivalence_check",
     "evaluate",
+    "evaluate_many",
     "residue_magnitudes",
     "iter_curlicue_magnitudes",
     "COMPLETE_SUM_CAP",
@@ -45,6 +47,11 @@ __all__ = [
 
 # A complete pulse train has l pulses; refuse silly l unless overridden.
 COMPLETE_SUM_CAP = 10**7
+# The batched kernel evaluates at most this many (l, m) terms at a time, so
+# its arrays stay near a megabyte however wide the window or long the row.
+BLOCK_TERMS = 1 << 14
+# Residues below l multiply to less than 2**64 while l <= 2**32.
+_UINT64_BOUND = 1 << 32
 
 
 def _check_complete_cap(l: int) -> None:
@@ -218,8 +225,79 @@ def _running_sums(phases: Iterable[float]) -> Iterator[tuple[float, float, float
         yield c, s, re, im
 
 
-def _residue_mean(N: int, l: int, n: int, ms: Sequence[int]) -> SumValue:
-    return _mean_of_phases(_residue_phases(N, l, n, ms), len(ms))
+def _uint64_residues(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
+    """(m**n * N) mod l for each l in ls (rows) and m in ms (columns).
+
+    Square-and-multiply in uint64, so order n costs O(log n) array steps.
+    Every factor is reduced below l <= 2**32, so no product reaches 2**64.
+    """
+    l = np.array(ls, dtype=np.uint64)[:, None]
+    r = np.array([N % x for x in ls], dtype=np.uint64)[:, None]
+    base = np.array(ms, dtype=np.uint64) % l
+    while True:
+        if n & 1:
+            r = r * base % l
+        n >>= 1
+        if not n:
+            return r
+        base = base * base % l
+
+
+def _uint64_phases(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
+    """The phases of _residue_phases, one row per l < 2**32, from uint64 residues.
+
+    pi * (2r / l) has the bits of _phases: (m**n * 2t) mod 2l = 2r, and 2r
+    and l convert to float exactly, so the one rounding is the division.
+    """
+    l = np.array(ls, dtype=np.float64)[:, None]
+    return math.pi * ((2 * _uint64_residues(N, ls, n, ms)).astype(np.float64) / l)
+
+
+def _bigint_phases(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
+    """The same phases for l >= 2**32, reduced in exact ints by _phases."""
+    return np.array([list(_phases(2 * (N % l), l, n, ms)) for l in ls], dtype=np.float64)
+
+
+def _phase_path(l: int) -> Callable[..., np.ndarray]:
+    """The kernel's one choice, made by l alone: uint64 residues or exact ints."""
+    return _uint64_phases if l < _UINT64_BOUND else _bigint_phases
+
+
+def _residue_means(
+    N: int, ls: Sequence[int], n: int, ms: Sequence[int]
+) -> Iterator[SumValue]:
+    """The mean of exp(2*pi*i * m**n * N / l) over ms for each l in ls, in order.
+
+    The one kernel behind every one-shot residue sum.  It evaluates blocks
+    of at most BLOCK_TERMS terms: whole rows of consecutive l, or, for a row
+    longer than that, the row in pieces along m.  np.cos and np.sin take the
+    phases, and each row is summed by fsum per component, which rounds
+    correctly; a long row's pieces reach fsum lazily, its phases formed once
+    per component.  N, n and the smallest l are checked first.
+    """
+    _check_order(n)
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    if ls:
+        _check_trial(min(ls))
+    count = len(ms)
+    pieces = [ms[j:j + BLOCK_TERMS] for j in range(0, count, BLOCK_TERMS)]
+    rows = max(1, BLOCK_TERMS // count)
+    for phases, run in groupby(ls, _phase_path):
+        for block in iter(lambda: list(islice(run, rows)), []):
+            if len(pieces) == 1:
+                ph = phases(N, block, n, ms)
+                for re, im in zip(np.cos(ph).tolist(), np.sin(ph).tolist()):
+                    yield SumValue(fsum(re) / count, fsum(im) / count, count)
+                continue
+            # one l, its row fed to fsum piece by piece, once per component
+            re, im = (
+                fsum(chain.from_iterable(
+                    trig(phases(N, block, n, part))[0].tolist() for part in pieces
+                ))
+                for trig in (np.cos, np.sin)
+            )
+            yield SumValue(re / count, im / count, count)
 
 
 def _complete_mean(t: int, l: int) -> tuple[float, float]:
@@ -262,7 +340,7 @@ def complete_gauss_sum(N: int, l: int, *, allow_large: bool = False) -> SumValue
 
 def truncated_sum(N: int, l: int, n: int, M: int) -> SumValue:
     """Order-n exponential sum truncated at M: mean over m = 0..M."""
-    return _residue_mean(N, l, n, FullTruncation(M).terms(l))
+    return next(_residue_means(N, (l,), n, FullTruncation(M).terms(l)))
 
 
 def curlicue_phase(m: int, n: int, p: int, q: int) -> float:
@@ -291,7 +369,7 @@ def randomized_sum(
     Identical (seed, count, m_max) give an identical m-set and hence a
     bit-identical result.
     """
-    return _residue_mean(N, l, n, Randomized(count, m_max, seed).terms(l))
+    return next(_residue_means(N, (l,), n, Randomized(count, m_max, seed).terms(l)))
 
 
 def curlicue_equivalence_check(N: int, l: int, n: int, M: int) -> bool:
@@ -313,9 +391,18 @@ def curlicue_equivalence_check(N: int, l: int, n: int, M: int) -> bool:
 
 def evaluate(N: int, l: int, spec: SumSpec) -> SumValue:
     """Evaluate the sum a SumSpec describes at trial factor l."""
+    return next(evaluate_many(N, (l,), spec))
+
+
+def evaluate_many(N: int, ls: Sequence[int], spec: SumSpec) -> Iterator[SumValue]:
+    """evaluate(N, l, spec) for each l in ls, in order, block by block.
+
+    The complete sum is a closed form per l; every other strategy averages
+    one m-set over every l, through the batched kernel.
+    """
     if isinstance(spec.strategy, Complete):
-        return complete_gauss_sum(N, l)
-    return _residue_mean(N, l, spec.order, spec.strategy.terms(l))
+        return (complete_gauss_sum(N, l) for l in ls)
+    return _residue_means(N, ls, spec.order, spec.strategy.terms(0))
 
 
 def residue_magnitudes(l: int, n: int, M: int) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Command-line behavior: schemas, formats, exit codes, determinism."""
 import json
 import math
+import weakref
 from importlib import resources
 from itertools import islice
 
 import pytest
 
+import gaussfactor.cli as cli
 from gaussfactor import iter_curlicue_magnitudes
 from gaussfactor.cli import (
     RESULT_HEADER,
@@ -159,6 +161,29 @@ class TestScan:
         assert code == 3
         assert out == ""
         assert "cap" in err and "(N=10, l=10000001)" in err
+
+    def test_domain_error_inside_a_window_names_its_l(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "--n", "10", "--window", "9999998:10000003", "--complete"
+        )
+        assert code == 3
+        assert out == ""
+        assert "(N=10, l=10000001)" in err
+
+    def test_scan_holds_one_classified_trial_at_a_time(self, capsys, monkeypatch):
+        # each trial becomes its row cells and is dropped before the next
+        refs, alive = [], []
+        cells = cli._result_cells
+
+        def spy(trial):
+            refs.append(weakref.ref(trial))
+            alive.append(sum(ref() is not None for ref in refs))
+            return cells(trial)
+
+        monkeypatch.setattr(cli, "_result_cells", spy)
+        code, _, _ = run(capsys, "scan", "--n", N12, "--truncation", "19")
+        assert code == 0
+        assert alive == [1] * 33
 
     def test_byte_identical_reruns(self, capsys):
         argv = ("scan", "--n", N17, "--count", "10", "--m-max", "5000", "--seed", "3")

@@ -25,6 +25,7 @@ from gaussfactor.ghost import (
     N_TWELVE_DIGIT,
     WINDOW_SEVENTEEN_DIGIT,
     WINDOW_TWELVE_DIGIT,
+    iter_scan_window,
 )
 
 FULL19 = SumSpec(FullTruncation(19))
@@ -165,6 +166,24 @@ class TestScanWindow:
                 for r in rows
                 if r.trial_class is TrialClass.FACTOR
             )
+
+    def test_iterator_yields_the_scan_rows(self):
+        spec = SumSpec(Randomized(10, 1000, 5))
+        rows = scan_window(N_TWELVE_DIGIT, *WINDOW_TWELVE_DIGIT, spec)
+        trials = iter_scan_window(N_TWELVE_DIGIT, *WINDOW_TWELVE_DIGIT, spec)
+        assert next(trials) == rows[0]
+        assert list(trials) == rows[1:]
+
+    def test_iterator_checks_the_window_on_the_call(self):
+        with pytest.raises(ValueError, match="invalid window"):
+            iter_scan_window(15, 5, 4, FULL19)
+
+    def test_iterator_raises_when_the_failing_trial_is_read(self):
+        cap = sums.COMPLETE_SUM_CAP
+        trials = iter_scan_window(10, cap - 1, cap + 1, SumSpec(Complete()))
+        assert [next(trials).l, next(trials).l] == [cap - 1, cap]
+        with pytest.raises(ValueError, match="cap"):
+            next(trials)
 
     def test_deterministic_with_seeded_strategy(self):
         spec = SumSpec(Randomized(10, 1000, 5))

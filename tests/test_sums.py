@@ -4,6 +4,7 @@ import math
 import random
 import re
 import statistics
+import time
 import timeit
 from math import fsum
 
@@ -31,6 +32,7 @@ from gaussfactor import (
     iter_curlicue_magnitudes,
     randomized_sum,
     residue_magnitudes,
+    scan_window,
     truncated_sum,
 )
 
@@ -338,6 +340,135 @@ class TestResiduePhases:
     def test_checks_before_the_first_phase(self, N, l, n, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             sums._residue_phases(N, l, n, range(3))
+
+
+def scalar_mean(N: int, l: int, n: int, ms) -> SumValue:
+    """One row the scalar way: _phases, math.cos and math.sin, fsum."""
+    ph = list(sums._phases(2 * (N % l), l, n, ms))
+    count = len(ms)
+    return SumValue(fsum(map(math.cos, ph)) / count, fsum(map(math.sin, ph)) / count, count)
+
+
+def bits(value: SumValue) -> tuple[str, str, int]:
+    # float.hex tells -0.0 from 0.0, which == does not
+    return value.real_part.hex(), value.imag_part.hex(), value.term_count
+
+
+BOUND = 2**32  # the kernel's uint64 bound on l
+trial_factors = st.one_of(
+    st.integers(1, 2**12),
+    st.integers(BOUND - 2**10, BOUND + 2**10),
+    st.integers(2, 2**70),
+)
+
+
+class TestBatchedKernel:
+    @given(
+        N=st.integers(0, 2**80),
+        ls=st.lists(trial_factors, min_size=1, max_size=6),
+        n=st.one_of(st.integers(2, 12), st.integers(2, 10**6 + 3)),
+        ms=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scalar_path_bit_for_bit(self, N, ls, n, ms):
+        values = list(sums._residue_means(N, ls, n, ms))
+        assert [bits(v) for v in values] == [bits(scalar_mean(N, l, n, ms)) for l in ls]
+        small = [l for l in ls if l < BOUND]
+        if small:
+            residues = sums._uint64_residues(N, small, n, ms).tolist()
+            assert residues == [[pow(m, n, l) * (N % l) % l for m in ms] for l in small]
+            phases = sums._uint64_phases(N, small, n, ms).tolist()
+            assert phases == [list(sums._residue_phases(N, l, n, ms)) for l in small]
+        large = [l for l in ls if l >= BOUND]
+        if large:
+            phases = sums._bigint_phases(N, large, n, ms).tolist()
+            assert phases == [list(sums._residue_phases(N, l, n, ms)) for l in large]
+
+    @pytest.mark.parametrize(
+        "l", [2, 3, 1299711, BOUND - 1, BOUND, BOUND + 1, 2**64 + 13]
+    )
+    def test_edges_match_the_scalar_path(self, l):
+        draws = Randomized(25, 2**64 - 1, 9).terms(l)
+        cases = [
+            (range(1), 2),  # M = 0
+            (range(max(0, l - 5), l + 35), 3),  # m on both sides of l
+            ((0, 1, 2**63, 2**64 - 2, 2**64 - 1), 2),
+            (draws, 5),
+            (range(40), 10**6 + 3),
+        ]
+        for ms, n in cases:
+            got = next(sums._residue_means(N12, (l,), n, ms))
+            assert bits(got) == bits(scalar_mean(N12, l, n, ms)), (ms, n)
+
+    def test_selection_depends_on_l_alone(self):
+        # a run of l across the bound, in and out of order
+        ls = [BOUND - 2, BOUND + 1, BOUND - 1, BOUND, 7, BOUND + 5]
+        ms = range(30)
+        got = list(sums._residue_means(N12, ls, 3, ms))
+        assert [bits(v) for v in got] == [bits(scalar_mean(N12, l, 3, ms)) for l in ls]
+
+    def test_long_rows_are_split_along_m(self):
+        M = 2 * sums.BLOCK_TERMS + 5
+        for l in (1299711, BOUND + 3):
+            got = list(sums._residue_means(N12, [l, l + 2], 2, range(M + 1)))
+            want = [scalar_mean(N12, x, 2, range(M + 1)) for x in (l, l + 2)]
+            assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    def test_blocks_hold_at_most_block_terms(self, monkeypatch):
+        sizes = []
+        for name in ("_uint64_phases", "_bigint_phases"):
+            def spy(N, ls, n, ms, real=getattr(sums, name)):
+                sizes.append(len(ls) * len(ms))
+                return real(N, ls, n, ms)
+
+            monkeypatch.setattr(sums, name, spy)
+        for l in (1299711, BOUND + 3):
+            list(sums._residue_means(N12, range(l, l + 2000), 2, range(20)))
+            next(sums._residue_means(N12, [l], 2, range(2 * sums.BLOCK_TERMS + 6)))
+        assert sizes and max(sizes) <= sums.BLOCK_TERMS
+
+    def test_order_near_a_million_costs_log_n_steps(self):
+        # square-and-multiply takes about 40 array steps here; a loop of
+        # n - 1 multiplications takes a million and many seconds
+        ls, ms, n = range(1299699, 1299732), range(200), 10**6 + 3
+        start = time.perf_counter()
+        residues = sums._uint64_residues(N12, ls, n, ms)
+        elapsed = time.perf_counter() - start
+        assert residues.tolist() == [[pow(m, n, l) * (N12 % l) % l for m in ms] for l in ls]
+        assert elapsed < 0.5
+
+    def test_numpy_trig_matches_math_bit_for_bit(self):
+        # the kernel takes np.cos and np.sin where the scalar path takes
+        # math.cos and math.sin; on a build where they round differently,
+        # the kernel's sums lose their bit-identity with the scalar path
+        kernel = sums._uint64_phases(N12, range(1289709, 1309709), 2, range(20)).ravel()
+        uniform = np.random.default_rng(0).uniform(0.0, 2 * math.pi, 200_000)
+        for phases in (kernel, uniform):
+            listed = phases.tolist()
+            assert np.cos(phases).tolist() == list(map(math.cos, listed))
+            assert np.sin(phases).tolist() == list(map(math.sin, listed))
+
+    @pytest.mark.parametrize("width", ["block", "block + 1"])
+    def test_windows_at_the_block_width_match_per_l_classify(self, width):
+        spec = SumSpec(FullTruncation(19))
+        rows = sums.BLOCK_TERMS // 20 + (width == "block + 1")
+        lo = 1299709 - rows // 2
+        got = scan_window(N12, lo, lo + rows - 1, spec)
+        want = [classify(N12, l, spec) for l in range(lo, lo + rows)]
+        assert got == want
+        assert [bits(r.value) for r in got] == [bits(r.value) for r in want]
+
+    @pytest.mark.parametrize(
+        "N, ls, n, message",
+        [
+            (5, [3, 0], 2, "trial factor must be >= 1, got 0"),
+            (5, [7], 1, "sum order must be >= 2, got 1"),
+            (-1, [7], 2, "N must be >= 0, got -1"),
+        ],
+    )
+    def test_checks_before_the_first_block(self, N, ls, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(sums._residue_means(N, ls, n, range(3)))
 
 
 class TestSpecAndValue:
