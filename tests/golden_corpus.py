@@ -77,6 +77,17 @@ CASES: dict[str, list[str]] = {
     "classify-12-order-1000003": [
         "classify", "--n", N12, "--l", "1299711", "--order", "1000003", "--truncation", "19",
     ],
+    # edges of the blocked walks: m**4 crosses 2**53 at m = 9741 below the
+    # answer 10110, eps of either sign, a subnormal eps that never
+    # suppresses, 2,000 lockstep walks, and lockstep rows on the exact-int
+    # path at l >= 2**32
+    "suppression-1e-16-order4": ["suppression", "--epsilon", "1e-16", "--order", "4"],
+    "suppression-neg-1e-16-order4": ["suppression", "--epsilon=-1e-16", "--order", "4"],
+    "suppression-subnormal": ["suppression", "--epsilon", "5e-324", "--m-cap", "1000"],
+    "scaling-17-order3": ["scaling", "--order", "3", "--case", f"{N17}:179423673:179425673"],
+    "scaling-17-above-bound": [
+        "scaling", "--case", f"{N17}:4294967290:4294967300", "--m-cap", "50",
+    ],
 }
 
 
