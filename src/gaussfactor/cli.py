@@ -19,7 +19,7 @@ from importlib import resources
 from typing import Any, Iterator, Sequence
 
 from . import ghost, spinsim
-from .numtheory import epsilon
+from .numtheory import _check_order, epsilon
 from .sums import (
     Complete,
     FullTruncation,
@@ -27,6 +27,7 @@ from .sums import (
     SumSpec,
     _curlicue_phases,
     _running_sums,
+    _terms,
     iter_curlicue_magnitudes,
 )
 
@@ -395,8 +396,20 @@ def _magnitude_rows(
     ]
 
 
+def _config_order(order: Any) -> int:
+    """A figure's sum order, checked as SumSpec checks a trace's order."""
+    if type(order) is not int:
+        raise ValidationError(f"order must be an integer, got {order!r}")
+    try:
+        _check_order(order, "order")
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    return order
+
+
 def _figure_1(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    series = [(eps, eps, cfg["order"]) for eps in cfg["epsilons"]]
+    order = _config_order(cfg["order"])
+    series = [(eps, eps, order) for eps in cfg["epsilons"]]
     return ["epsilon", "M", "magnitude"], _magnitude_rows(cfg["max_truncation"], series)
 
 
@@ -413,12 +426,13 @@ def _figure_2(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
         "series", "m", "term_real", "term_imag",
         "partial_real", "partial_imag", "magnitude",
     ]
+    order = _config_order(cfg["order"])
     rows = []
     for series, ms in walks:
-        steps = _running_sums(_curlicue_phases(cfg["epsilon"], cfg["order"], ms))
-        for k, (m, (c, s, part_re, part_im)) in enumerate(zip(ms, steps), 1):
-            mag = math.hypot(part_re, part_im) / k
-            rows.append([series, m, c, s, part_re, part_im, mag])
+        terms = list(_terms(_curlicue_phases(cfg["epsilon"], order, ms)))
+        for k, (m, z, part) in enumerate(zip(ms, terms, _running_sums(terms)), 1):
+            mag = math.hypot(part.real, part.imag) / k
+            rows.append([series, m, z.real, z.imag, part.real, part.imag, mag])
     return header, rows
 
 
@@ -452,7 +466,8 @@ def _figure_4(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
 
 
 def _figure_5(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    series = [(order, cfg["epsilon"], order) for order in cfg["orders"]]
+    orders = [_config_order(order) for order in cfg["orders"]]
+    series = [(order, cfg["epsilon"], order) for order in orders]
     return ["order", "M", "magnitude"], _magnitude_rows(cfg["max_truncation"], series)
 
 

@@ -11,17 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from math import hypot, sqrt
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .numtheory import Epsilon, _check_order, epsilon, is_factor
 from .sums import (
+    BLOCK_TERMS,
     Randomized,
     SumSpec,
     SumValue,
+    _WALK_TERMS,
     _curlicue_phases,
-    _residue_phases,
+    _lockstep_phases,
     _running_sums,
+    _terms,
     evaluate,
     evaluate_many,
 )
@@ -51,6 +57,9 @@ GHOST_THRESHOLD = 1 / sqrt(2)
 # threshold cases out of the ghost class and the band gives them a home
 GHOST_SLACK = 1e-9
 THRESHOLD_BAND = 1e-3
+# np.hypot and math.hypot differ by at most an ulp, so a magnitude this many
+# ulps of the bar away from it is on the same side whichever one formed it
+_BAR_ULPS = 8
 
 # Built-in demonstration targets: products of adjacent primes, with scan
 # windows covering both factors.  The second window is the range the
@@ -110,19 +119,29 @@ def _classified(N: int, l: int, value: SumValue, spec: SumSpec) -> ClassifiedTri
     return ClassifiedTrial(l, eps, value, cls, spec)
 
 
-def _first_suppressed(walks: Sequence[Iterable], threshold: float) -> int | None:
-    """First M at which every _running_sums walk has |s_M| <= threshold.
+def _first_suppressed(walk: Iterator, threshold: float, columns: int) -> int | None:
+    """First M at which every walk has |s_M| <= threshold, or None once they end.
 
+    walk streams _running_sums' partial sums: complex numbers for one walk,
+    or complex arrays holding one partial sum of every walk run in lockstep.
     s_M is the mean of a walk's first M + 1 terms, and the comparison allows
-    GHOST_SLACK.  The walks advance in lockstep; None once they run out.
+    GHOST_SLACK.  `columns` values of M are decided at a time with np.hypot;
+    a magnitude within _BAR_ULPS of the bar is decided again with
+    math.hypot, so the answer is the one math.hypot gives.
     """
     bar = threshold + GHOST_SLACK
-    for M, steps in enumerate(zip(*walks)):
-        for _, _, re, im in steps:
-            if not hypot(re, im) / (M + 1) <= bar:
-                break
-        else:
-            return M
+    near = _BAR_ULPS * np.spacing(abs(bar))
+    start = 0
+    while len(block := np.array(list(islice(walk, columns)))):
+        re, im = (part.reshape(len(block), -1) for part in (block.real, block.imag))
+        mags = np.hypot(re, im) / np.arange(start + 1, start + len(block) + 1)[:, None]
+        below = mags <= bar
+        for M, row in zip(*np.nonzero(abs(mags - bar) <= near)):
+            below[M, row] = hypot(re[M, row], im[M, row]) / (start + M + 1) <= bar
+        done = below.all(axis=1)
+        if done.any():
+            return start + int(done.argmax())
+        start += len(block)
     return None
 
 
@@ -144,8 +163,8 @@ def min_suppression_M(
         raise ValueError("eps = 0 is the factor case and never suppresses")
     if m_cap < 1:
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")
-    walk = _running_sums(_curlicue_phases(eps, n, range(m_cap + 1)))
-    return _first_suppressed([walk], threshold)
+    phases = _curlicue_phases(eps, n, range(m_cap + 1))
+    return _first_suppressed(_running_sums(_terms(phases)), threshold, _WALK_TERMS)
 
 
 def scan_window(
@@ -188,12 +207,13 @@ def scaling_study(
 ) -> list[ScalingRow]:
     """Minimal M pushing every non-factor of each window below threshold.
 
-    All non-factor magnitudes are grown term by term in lockstep, and the
-    answer for a window is the first M where they are simultaneously below
-    threshold, with the same GHOST_SLACK grace the other threshold
-    comparisons use.  Some orders never get there (residue powers m**n
-    mod l can collapse to a handful of values for small l), so required_M
-    is None when m_cap is exhausted.
+    All non-factor magnitudes are grown term by term in lockstep, as one
+    array of partial sums with an entry per non-factor, and the answer for
+    a window is the first M where they are simultaneously below threshold,
+    with the same GHOST_SLACK grace the other threshold comparisons use.
+    Some orders never get there (residue powers m**n mod l can collapse to
+    a handful of values for small l), so required_M is None when m_cap is
+    exhausted.
     """
     if not cases:
         raise ValueError("scaling study needs at least one (N, window) case")
@@ -213,9 +233,9 @@ def scaling_study(
             rows.append(ScalingRow(N, (l_min, l_max), 0.0, 0, root))
             continue
         worst = min((epsilon(N, l).magnitude for l in nonfactors))
-        ms = range(m_cap + 1)
-        walks = [_running_sums(_residue_phases(N, l, n, ms)) for l in nonfactors]
-        required = _first_suppressed(walks, threshold)
+        columns = max(1, BLOCK_TERMS // len(nonfactors))
+        phases = _lockstep_phases(N, nonfactors, n, range(m_cap + 1), columns)
+        required = _first_suppressed(_running_sums(_terms(phases)), threshold, columns)
         rows.append(ScalingRow(N, (l_min, l_max), worst, required, root))
     return rows
 

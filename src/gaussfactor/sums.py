@@ -5,21 +5,21 @@ exp(2*pi*i * m**n * N / l) over some index set of m.  A trial factor l of N
 makes every phase an integer multiple of 2*pi, so the mean has magnitude 1;
 non-factors scatter the phases and the mean shrinks.
 
-Every phase is reduced exactly, with integer arithmetic, before any
-trigonometry happens.  Evaluating 2*pi*m**2*N/l directly in floating point
-is catastrophically wrong for 17-digit N (the argument reaches 10**19 where
-doubles are spaced thousands apart), and that reduction is the single design
-decision everything else here leans on.
+Every phase is reduced exactly, with integer arithmetic or an error-free
+float product, before any trigonometry happens.  Evaluating 2*pi*m**2*N/l
+directly in floating point is catastrophically wrong for 17-digit N (the
+argument reaches 10**19 where doubles are spaced thousands apart), and that
+reduction is the single design decision everything else here leans on.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, islice
-from itertools import count as _naturals
+from itertools import chain, count, groupby, islice
 from math import fsum
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -52,6 +52,16 @@ COMPLETE_SUM_CAP = 10**7
 BLOCK_TERMS = 1 << 14
 # Residues below l multiply to less than 2**64 while l <= 2**32.
 _UINT64_BOUND = 1 << 32
+# A curlicue phase m**n * eps is an error-free double product while m**n
+# is an exact double and no partial product of the split factors underflows.
+_EXACT_FLOAT_INT = 1 << 53
+_SPLIT = float((1 << 27) + 1)  # Veltkamp's splitter for 53-bit doubles
+_TWO_PRODUCT_FLOOR = 2.0 ** -960
+# A curlicue walk turns each term into Python objects, so its blocks stay
+# smaller; they start smaller still, so a walk read a little way forms few
+# phases.
+_WALK_TERMS = 1 << 12
+_FIRST_BLOCK = 1 << 10
 
 
 def _check_complete_cap(l: int) -> None:
@@ -158,21 +168,14 @@ class SumValue:
         return math.hypot(self.real_part, self.imag_part)
 
 
-def _mean_of_phases(phases: Iterable[float], count: int) -> SumValue:
-    """Mean of exp(i*phase) over reduced phases, fsum per component."""
-    ph = list(phases)
-    return SumValue(
-        fsum(map(math.cos, ph)) / count, fsum(map(math.sin, ph)) / count, count
-    )
-
-
 def _phases(a: int, q: int, n: int, ms: Iterable[int]) -> Iterator[float]:
     """The phases pi*((m**n * a) mod 2q)/q for m in ms, in order.
 
-    The curlicue phase of the exact fraction a/q: every sum, walk, pulse
-    train and residue sweep takes its phases from here.
-    The reduction is exact and the integer-over-integer division comes
-    first, so nothing larger than 2 ever meets a float.
+    The curlicue phase of the exact fraction a/q, and the reference for
+    every phase: the block kernels reproduce its bits and fall back on it
+    where their own arithmetic could not.  The reduction is exact and the
+    integer-over-integer division comes first, so nothing larger than 2
+    ever meets a float.
     """
     q2 = 2 * q
     return (math.pi * ((pow(m, n, q2) * a) % q2 / q) for m in ms)
@@ -191,38 +194,130 @@ def _residue_phases(N: int, l: int, n: int, ms: Iterable[int]) -> Iterator[float
     return _phases(2 * (N % l), l, n, ms)
 
 
-def _curlicue_phases(eps: float, n: int, ms: Iterable[int]) -> Iterator[float]:
-    """The phases pi*m**n*eps for m in ms, reduced mod 2*pi.
+def _two_product(a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi = fl(a*b) and a*b = hi + lo exactly.
 
-    eps is taken at its exact value through its integer ratio, so the
-    reduction loses nothing even when m**n * eps is astronomically large.
-    eps and n are checked before the first phase is asked for.
+    Dekker's product over Veltkamp's split halves: exact while the split
+    does not overflow and no partial product underflows.
+    """
+    def split(x):
+        big = x * _SPLIT
+        head = big - (big - x)
+        return head, x - head
+
+    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
+    hi = a * b
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _two_product_phases(eps: float, n: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pi * (m**n * eps mod 2) for 0 <= m with m**n < 2**53, |eps| in [2**-960, 1].
+
+    Also returns the elements whose rounding it cannot decide, for _phases.
+    m**n * eps = hi + lo exactly (|hi| <= 2**53) and f = fmod(hi, 2) is exact.
+    If hi >= 0 or hi <= -1, f' = f, or f + 2 when f < 0, is exact too (f is
+    then a multiple of ulp(hi)), so f' + lo is the reduced value rounded
+    once, as _phases' r / q is; it is negative only as lo itself (f = 0),
+    and then lo + 2 rounds once.  If -1 < hi < 0, the reduced value is
+    2 + hi + lo = s + e + lo, with s = fl(2 + hi) and e its exact error, and
+    fl(e + lo) lies on the same side of s's half ulp, 2**-53, as e + lo does
+    unless it lands on it: those elements are the undecided ones.
+    """
+    power = m ** n if n < 53 else m  # from order 53 on, m is 0 or 1
+    hi, lo = _two_product(power.astype(np.float64), eps)
+    f = np.fmod(hi, 2.0)
+    r = np.where(f < 0, f + 2.0, f) + lo
+    r = np.where(r < 0, r + 2.0, r)
+    s = 2.0 + hi
+    t = (hi - (s - 2.0)) + lo
+    inside = (-1.0 < hi) & (hi < 0.0)
+    r = np.where(inside, s + t, r)
+    return math.pi * r, inside & (np.abs(t) == 2.0 ** -53)
+
+
+def _power_bound(n: int) -> int:
+    """The largest m with m**n < 2**53."""
+    if n >= 53:
+        return 1
+    m = int(2.0 ** (53 / n))
+    while m**n >= _EXACT_FLOAT_INT:
+        m -= 1
+    while (m + 1) ** n < _EXACT_FLOAT_INT:
+        m += 1
+    return m
+
+
+def _curlicue_phases(eps: float, n: int, ms: Iterable[int]) -> Iterator[np.ndarray]:
+    """The phases pi*m**n*eps for m in ms, reduced mod 2*pi, in blocks.
+
+    Bit for bit the phases of _phases on the exact ratio p/q of eps.  Each
+    element takes the error-free product of _two_product_phases where its
+    conditions hold and _phases in exact ints where they do not: m**n at or
+    past 2**53, |eps| outside [2**-960, 1], or an ambiguous rounding.
+    Blocks grow from _FIRST_BLOCK to _WALK_TERMS terms.  eps and n are
+    checked on the call.
     """
     if not math.isfinite(eps):
         raise ValueError(f"epsilon must be finite, got {eps}")
     _check_order(n)
+    n = operator.index(n)
     p, q = eps.as_integer_ratio()
-    return _phases(p, q, n, ms)
+    bound = _power_bound(n) if _TWO_PRODUCT_FLOOR <= abs(eps) <= 1 else -1
+    terms = iter(ms)
+
+    def blocks() -> Iterator[np.ndarray]:
+        size = _FIRST_BLOCK
+        while block := list(islice(terms, size)):
+            size = min(2 * size, _WALK_TERMS)
+            if 0 <= min(block) and max(block) <= bound:
+                ph, exact = _two_product_phases(eps, n, np.array(block, dtype=np.int64))
+            else:
+                m = np.array([x if 0 <= x <= bound else -1 for x in block], dtype=np.int64)
+                ph, exact = _two_product_phases(eps, n, np.maximum(m, 0))
+                exact |= m < 0
+            redo = np.flatnonzero(exact).tolist()
+            if redo:
+                ph[redo] = list(_phases(p, q, n, [block[i] for i in redo]))
+            yield ph
+
+    return blocks()
 
 
-def _running_sums(phases: Iterable[float]) -> Iterator[tuple[float, float, float, float]]:
-    """Yield (cos, sin, partial real, partial imaginary) after each phase.
+_Term = TypeVar("_Term")
 
-    The package's one prefix sum.  Kahan compensation keeps it as accurate
-    as a one-shot fsum over the term counts this package uses.
+
+def _running_sums(terms: Iterable[_Term]) -> Iterator[_Term]:
+    """Yield the Kahan-compensated partial sum after each term.
+
+    The package's one prefix sum.  A term is a complex number for one walk,
+    or a complex array holding the next term of many walks run in lockstep.
+    Complex addition and subtraction act on each part alone, in Python as
+    in numpy, so every part of every walk gets the bits of a float Kahan
+    sum of its own.  Kahan compensation keeps the sums as accurate as a
+    one-shot fsum over the term counts this package uses.
     """
-    re = im = re_c = im_c = 0.0
-    for ph in phases:
-        c, s = math.cos(ph), math.sin(ph)
-        y = c - re_c
-        tot = re + y
-        re_c = (tot - re) - y
-        re = tot
-        y = s - im_c
-        tot = im + y
-        im_c = (tot - im) - y
-        im = tot
-        yield c, s, re, im
+    total = comp = 0.0
+    for x in terms:
+        y = x - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        yield t
+
+
+def _terms(blocks: Iterable[np.ndarray]) -> Iterator:
+    """The terms cos(phase) + i sin(phase) of blocks of phases, lazily.
+
+    A 1-D block holds one walk's next phases, which stream out as Python
+    complex numbers; a 2-D block holds one row per walk and streams out one
+    column, the next term of every walk, at a time.  The parts are set from
+    np.cos and np.sin, not formed by complex arithmetic, so they keep the
+    bits of math.cos and math.sin.
+    """
+    for phases in blocks:
+        z = np.empty(phases.shape, dtype=np.complex128)
+        z.real, z.imag = np.cos(phases), np.sin(phases)
+        yield from z.tolist() if z.ndim == 1 else z.T
 
 
 def _uint64_residues(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
@@ -261,6 +356,21 @@ def _bigint_phases(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> np.n
 def _phase_path(l: int) -> Callable[..., np.ndarray]:
     """The kernel's one choice, made by l alone: uint64 residues or exact ints."""
     return _uint64_phases if l < _UINT64_BOUND else _bigint_phases
+
+
+def _lockstep_phases(
+    N: int, ls: Sequence[int], n: int, ms: range, columns: int
+) -> Iterator[np.ndarray]:
+    """The phases of _residue_phases, one row per l, `columns` m at a time.
+
+    Each row is formed on its l's kernel path.
+    """
+    runs = [(phases, list(run)) for phases, run in groupby(ls, _phase_path)]
+    for start in count(0, columns):
+        part = ms[start:start + columns]
+        if not part:
+            return
+        yield np.concatenate([phases(N, run, n, part) for phases, run in runs])
 
 
 def _residue_means(
@@ -358,7 +468,9 @@ def curlicue_phase(m: int, n: int, p: int, q: int) -> float:
 def curlicue(eps: float, n: int, M: int) -> SumValue:
     """Normalized curlicue sum: mean of exp(i*pi*m**n*eps) for m = 0..M."""
     ms = FullTruncation(M).terms(0)  # m = 0..M for any l
-    return _mean_of_phases(_curlicue_phases(eps, n, ms), len(ms))
+    ph = np.concatenate(list(_curlicue_phases(eps, n, ms)))
+    size = len(ms)
+    return SumValue(fsum(np.cos(ph).tolist()) / size, fsum(np.sin(ph).tolist()) / size, size)
 
 
 def randomized_sum(
@@ -429,5 +541,5 @@ def residue_magnitudes(l: int, n: int, M: int) -> np.ndarray:
 
 def iter_curlicue_magnitudes(eps: float, n: int) -> Iterator[tuple[int, float]]:
     """Yield (M, |s_M|) for M = 0, 1, 2, ... without re-summing."""
-    walk = _running_sums(_curlicue_phases(eps, n, _naturals()))
-    return ((m, math.hypot(re, im) / (m + 1)) for m, (_, _, re, im) in enumerate(walk))
+    walk = _running_sums(_terms(_curlicue_phases(eps, n, count())))
+    return ((m, math.hypot(s.real, s.imag) / (m + 1)) for m, s in enumerate(walk))

@@ -496,13 +496,11 @@ class TestReproduceFigure:
     @pytest.mark.parametrize(
         "figure, cfg",
         [
-            ("1", {"order": 1, "epsilons": [0.01], "max_truncation": 10}),
             ("1", {"order": 2, "epsilons": [math.inf], "max_truncation": 10}),
-            ("2", {**FIGURE_2, "order": 1}),
             ("2", {**FIGURE_2, "epsilon": math.inf}),
             ("2", {**FIGURE_2, "epsilon": math.nan}),
         ],
-        ids=["1-order-1", "1-inf", "2-order-1", "2-inf", "2-nan"],
+        ids=["1-inf", "2-inf", "2-nan"],
     )
     def test_curlicue_config_outside_the_domain(self, tmp_path, capsys, figure, cfg):
         path = tmp_path / "fig.json"
@@ -511,6 +509,23 @@ class TestReproduceFigure:
         assert code == 3
         assert out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "figure, cfg",
+        [
+            ("1", {"order": 1, "epsilons": [0.01], "max_truncation": 10}),
+            ("2", {**FIGURE_2, "order": 1}),
+            ("5", {"epsilon": 1e-6, "orders": [2, 1], "max_truncation": 10}),
+        ],
+        ids=["1-order-1", "2-order-1", "5-order-1"],
+    )
+    def test_curlicue_config_order_below_two(self, tmp_path, capsys, figure, cfg):
+        # an order key is config validation, as figure 3's trace orders are
+        path = tmp_path / "fig.json"
+        path.write_text(json.dumps({figure: cfg}))
+        code, out, err = run(capsys, "reproduce-figure", figure, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: figure {figure}: order must be >= 2, got 1\n"
 
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_unreadable_config(self, tmp_path, capsys, name):

@@ -1,8 +1,11 @@
 """Classification, suppression search, and the scaling/randomized studies."""
 import math
+import random
 
+import numpy as np
 import pytest
 
+import gaussfactor.ghost as ghost
 import gaussfactor.sums as sums
 from gaussfactor import (
     Complete,
@@ -29,6 +32,29 @@ from gaussfactor.ghost import (
 )
 
 FULL19 = SumSpec(FullTruncation(19))
+N17 = 32193216510801043
+
+
+def walk_alone_first_crossing(N: int, ls, n: int, threshold: float, cap: int) -> int | None:
+    """The per-walk search: each l's Kahan walk on its own, math.hypot at the bar."""
+    walks = []
+    for l in ls:
+        terms = [(math.cos(ph), math.sin(ph)) for ph in sums._residue_phases(N, l, n, range(cap + 1))]
+        re = im = re_c = im_c = 0.0
+        walk = []
+        for c, s in terms:
+            y = c - re_c
+            t = re + y
+            re_c, re = (t - re) - y, t
+            y = s - im_c
+            t = im + y
+            im_c, im = (t - im) - y, t
+            walk.append((re, im))
+        walks.append(walk)
+    for M in range(cap + 1):
+        if all(math.hypot(*w[M]) / (M + 1) <= threshold + GHOST_SLACK for w in walks):
+            return M
+    return None
 
 
 def naive_first_crossing(eps: float, n: int, threshold: float, cap: int) -> int | None:
@@ -143,6 +169,48 @@ class TestMinSuppression:
         assert all(r is not None for r in required)
         for earlier, later in zip(required, required[1:]):
             assert later <= earlier, f"order bump raises suppression: {required}"
+
+
+class TestBarDecision:
+    @staticmethod
+    def hypot_split():
+        """An (re, im) pair on which np.hypot and math.hypot round apart."""
+        rng = random.Random(4)
+        for _ in range(100_000):
+            re, im = rng.uniform(0.3, 0.6), rng.uniform(0.3, 0.6)
+            if float(np.hypot(re, im)) != math.hypot(re, im):
+                return re, im
+        pytest.skip("np.hypot and math.hypot agree on every draw on this build")
+
+    @staticmethod
+    def threshold_for(bar: float) -> float:
+        """The threshold whose bar, threshold + GHOST_SLACK, is exactly `bar`."""
+        t = bar - GHOST_SLACK
+        while t + GHOST_SLACK < bar:
+            t = math.nextafter(t, math.inf)
+        while t + GHOST_SLACK > bar:
+            t = math.nextafter(t, -math.inf)
+        assert t + GHOST_SLACK == bar
+        return t
+
+    def test_math_hypot_decides_at_the_bar(self):
+        re, im = self.hypot_split()
+        by_numpy, by_math = float(np.hypot(re, im)), math.hypot(re, im)
+        # a bar on either value puts it between the two roundings
+        for bar in (by_numpy, by_math):
+            threshold = self.threshold_for(bar)
+            want = 0 if by_math <= bar else None
+            assert ghost._first_suppressed(iter([complex(re, im)]), threshold, 1) == want
+
+    def test_math_hypot_decides_in_lockstep_rows(self):
+        re, im = self.hypot_split()
+        by_math = math.hypot(re, im)
+        threshold = self.threshold_for(min(by_math, float(np.hypot(re, im))))
+        # two walks in lockstep, both above the bar at M = 0, and at M = 1
+        # the split pair in the second row, doubled as a sum of two terms
+        walk = [np.array([1 + 1j, 1 + 1j]), np.array([0j, complex(2 * re, 2 * im)])]
+        want = 1 if by_math <= threshold + GHOST_SLACK else None
+        assert ghost._first_suppressed(iter(walk), threshold, 2) == want
 
 
 class TestScanWindow:
@@ -264,6 +332,21 @@ class TestScalingStudy:
         row = scaling_study([(6, (2, 3))], 2)[0]
         assert row.required_M == 0
         assert row.worst_epsilon == 0.0
+
+    @pytest.mark.parametrize(
+        "N, window, n, cap",
+        [
+            (10403, (2, 101), 3, 400),
+            (N_TWELVE_DIGIT, (1299699, 1299731), 2, 300),
+            (N17, (2**32 - 6, 2**32 + 6), 2, 60),
+            (N17, (2**32 - 6, 2**32 + 6), 4, 60),
+        ],
+        ids=["toy-order-3", "twelve-digit", "across-2**32", "across-2**32-order-4"],
+    )
+    def test_lockstep_matches_each_walk_alone(self, N, window, n, cap):
+        ls = [l for l in range(window[0], window[1] + 1) if N % l]
+        row = scaling_study([(N, window)], n, m_cap=cap)[0]
+        assert row.required_M == walk_alone_first_crossing(N, ls, n, GHOST_THRESHOLD, cap)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

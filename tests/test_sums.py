@@ -6,6 +6,7 @@ import re
 import statistics
 import time
 import timeit
+from itertools import count, islice
 from math import fsum
 
 import numpy as np
@@ -171,7 +172,7 @@ class TestCurlicue:
         p, q = eps.as_integer_ratio()
         ms = [*range(50), *random.Random(3).sample(range(10**12), 50)]
         for n in range(2, 7):
-            got = list(sums._curlicue_phases(eps, n, ms))
+            got = np.concatenate(list(sums._curlicue_phases(eps, n, ms))).tolist()
             assert got == [curlicue_phase(m, n, p, q) for m in ms]
 
     def test_rejects_bad_arguments(self):
@@ -469,6 +470,140 @@ class TestBatchedKernel:
     def test_checks_before_the_first_block(self, N, ls, n, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             next(sums._residue_means(N, ls, n, range(3)))
+
+
+def hexes(values) -> list[str]:
+    return [x.hex() for x in values]
+
+
+def reference_curlicue_phases(eps: float, n: int, ms) -> list[str]:
+    p, q = eps.as_integer_ratio()
+    return hexes(curlicue_phase(m, n, p, q) for m in ms)
+
+
+def blocked_curlicue_phases(eps: float, n: int, ms) -> list[str]:
+    return hexes(np.concatenate(list(sums._curlicue_phases(eps, n, ms))).tolist())
+
+
+def kahan(terms) -> list[float]:
+    """Kahan partial sums of one walk, written out apart from the package."""
+    total = comp = 0.0
+    sums_ = []
+    for x in terms:
+        y = x - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        sums_.append(t)
+    return sums_
+
+
+# edges of the error-free product: subnormal and tiny eps, the 2**-960
+# floor on either side, the ends of [-1, 1] and signed zeros
+EDGE_EPSILONS = [
+    5e-324, -5e-324, 1e-300, -1e-300, 2.0**-960, -(2.0**-960),
+    math.nextafter(2.0**-960, 0.0), 1.0, -1.0, math.nextafter(1.0, 0.0), 0.0, -0.0,
+    0.5, 1e-12, -1e-16, 4e-5,
+]
+
+
+@st.composite
+def curlicue_walks(draw):
+    """(eps, n, ms): m-sets straddling m**n = 2**53, seeded draws or any m."""
+    eps = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(EDGE_EPSILONS)))
+    n = draw(st.integers(2, 6))
+    bound = sums._power_bound(n)
+    centre = bound + draw(st.integers(-50, 50))
+    width = draw(st.integers(1, 120))
+    ms = draw(st.one_of(
+        st.just(range(max(0, centre - width), centre + width)),
+        st.builds(
+            lambda count, m_max, seed: Randomized(count, m_max, seed).terms(0),
+            st.integers(1, 30), st.integers(30, 2**64 - 1), st.integers(0, 2**64 - 1),
+        ),
+        st.lists(st.integers(0, 2 * bound), min_size=1, max_size=60),
+    ))
+    return eps, n, ms
+
+
+class TestBlockedWalks:
+    def test_power_bound_is_the_last_exact_power(self):
+        for n in range(2, 60):
+            bound = sums._power_bound(n)
+            assert bound**n < 2**53 <= (bound + 1) ** n
+
+    @given(curlicue_walks())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_phases_match_the_reference_bit_for_bit(self, walk):
+        eps, n, ms = walk
+        assert blocked_curlicue_phases(eps, n, ms) == reference_curlicue_phases(eps, n, ms)
+
+    def test_midpoint_roundings_take_the_exact_path(self):
+        # for -1 < m**n * eps < 0 the sum 2 + hi + lo can land on a midpoint
+        # of the grid near 2 once lo is rounded; such eps sit next to
+        # -2**-53 / m**2 and must come out as the exact path gives them
+        flagged = 0
+        for m in range(2, 300):
+            eps = 2.0**-53 / m**2
+            for _ in range(5):
+                ms = [m, m + 1, 0]
+                power = np.array(ms, dtype=np.int64)
+                flagged += int(sums._two_product_phases(-eps, 2, power)[1].sum())
+                assert blocked_curlicue_phases(-eps, 2, ms) == reference_curlicue_phases(-eps, 2, ms)
+                eps = math.nextafter(eps, 1.0)
+        assert flagged > 0
+
+    def test_walks_straddling_the_bound_at_order_four(self):
+        # m**4 crosses 2**53 at m = 9741, inside the walk of the
+        # suppression --epsilon 1e-16 --order 4 run
+        ms = range(9000, 10500)
+        for eps in (1e-16, -1e-16, 0.3, -0.7):
+            assert blocked_curlicue_phases(eps, 4, ms) == reference_curlicue_phases(eps, 4, ms)
+
+    def test_walk_blocks_grow_to_their_cap(self):
+        sizes = [len(b) for b in islice(sums._curlicue_phases(1e-12, 2, count()), 8)]
+        assert sizes[0] == sums._FIRST_BLOCK
+        assert max(sizes) == sizes[-1] == sums._WALK_TERMS <= sums.BLOCK_TERMS
+
+    def test_numpy_trig_matches_math_on_curlicue_phases(self):
+        # walks take np.cos and np.sin where the per-term walk took
+        # math.cos and math.sin; tiny eps give tiny phases
+        walks = [(1e-12, 2, 200_000), (4e-5, 2, 2000), (1e-6, 5, 2000), (1e-300, 3, 2000),
+                 (-1e-16, 4, 20_000), (0.7, 6, 2000)]
+        for eps, n, M in walks:
+            phases = np.concatenate(list(sums._curlicue_phases(eps, n, range(M + 1))))
+            listed = phases.tolist()
+            assert np.cos(phases).tolist() == list(map(math.cos, listed))
+            assert np.sin(phases).tolist() == list(map(math.sin, listed))
+
+    @pytest.mark.parametrize(
+        "lo", [BOUND - 60, BOUND - 10, BOUND + 20], ids=["below", "across", "above"]
+    )
+    def test_lockstep_sums_match_each_walk_alone(self, lo):
+        N, n, ms = 32193216510801043, 3, range(300)
+        ls = [l for l in range(lo, lo + 40) if N % l]
+        phases = sums._lockstep_phases(N, ls, n, ms, 7)
+        walks = np.array(list(sums._running_sums(sums._terms(phases)))).T
+        for l, row_re, row_im in zip(ls, walks.real.tolist(), walks.imag.tolist()):
+            ph = list(sums._residue_phases(N, l, n, ms))
+            assert hexes(row_re) == hexes(kahan(map(math.cos, ph)))
+            assert hexes(row_im) == hexes(kahan(map(math.sin, ph)))
+
+    def test_lockstep_blocks_hold_at_most_block_terms(self):
+        ls = range(1299000, 1300400)
+        shapes = [b.shape for b in sums._lockstep_phases(N12, ls, 2, range(100), 11)]
+        assert shapes == [(1400, 11)] * 9 + [(1400, 1)]
+        assert 1400 * 11 <= sums.BLOCK_TERMS
+
+    def test_one_walk_streams_python_complex_terms(self):
+        ms = range(3000)
+        terms = list(sums._terms(sums._curlicue_phases(4e-5, 2, ms)))
+        assert len(terms) == 3000 and all(type(z) is complex for z in terms)
+        p, q = (4e-5).as_integer_ratio()
+        phases = [curlicue_phase(m, 2, p, q) for m in ms]
+        walk = list(sums._running_sums(terms))
+        assert hexes(z.real for z in walk) == hexes(kahan(map(math.cos, phases)))
+        assert hexes(z.imag for z in walk) == hexes(kahan(map(math.sin, phases)))
 
 
 class TestSpecAndValue:
