@@ -25,10 +25,7 @@ from .sums import (
     FullTruncation,
     Randomized,
     SumSpec,
-    _curlicue_phases,
-    _running_sums,
-    _terms,
-    iter_curlicue_magnitudes,
+    _curlicue_walk,
 )
 
 __all__ = ["main", "ResultRow", "emit_csv", "emit_json", "parse_result_csv"]
@@ -390,9 +387,9 @@ def _magnitude_rows(
     """[key, M, |s_M(eps)|] for M = 0..max_truncation of each (key, eps, order)."""
     Ms = range(max_truncation + 1)
     return [
-        [key, M, mag]
+        [key, M, math.hypot(s.real, s.imag) / (M + 1)]
         for key, eps, order in series
-        for M, (_, mag) in zip(Ms, iter_curlicue_magnitudes(eps, order))
+        for M, (_, s) in enumerate(_curlicue_walk(eps, order, Ms))
     ]
 
 
@@ -429,8 +426,8 @@ def _figure_2(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
     order = _config_order(cfg["order"])
     rows = []
     for series, ms in walks:
-        terms = list(_terms(_curlicue_phases(cfg["epsilon"], order, ms)))
-        for k, (m, z, part) in enumerate(zip(ms, terms, _running_sums(terms)), 1):
+        walk = _curlicue_walk(cfg["epsilon"], order, ms)
+        for k, (m, (z, part)) in enumerate(zip(ms, walk), 1):
             mag = math.hypot(part.real, part.imag) / k
             rows.append([series, m, z.real, z.imag, part.real, part.imag, mag])
     return header, rows

@@ -11,23 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from math import hypot, sqrt
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .numtheory import Epsilon, _check_order, epsilon, is_factor
 from .sums import (
-    BLOCK_TERMS,
     Randomized,
     SumSpec,
     SumValue,
-    _WALK_TERMS,
     _curlicue_phases,
     _lockstep_phases,
-    _running_sums,
-    _terms,
+    _walk,
     evaluate,
     evaluate_many,
 )
@@ -119,20 +116,21 @@ def _classified(N: int, l: int, value: SumValue, spec: SumSpec) -> ClassifiedTri
     return ClassifiedTrial(l, eps, value, cls, spec)
 
 
-def _first_suppressed(walk: Iterator, threshold: float, columns: int) -> int | None:
+def _first_suppressed(walk: Iterable, threshold: float) -> int | None:
     """First M at which every walk has |s_M| <= threshold, or None once they end.
 
-    walk streams _running_sums' partial sums: complex numbers for one walk,
-    or complex arrays holding one partial sum of every walk run in lockstep.
-    s_M is the mean of a walk's first M + 1 terms, and the comparison allows
-    GHOST_SLACK.  `columns` values of M are decided at a time with np.hypot;
-    a magnitude within _BAR_ULPS of the bar is decided again with
-    math.hypot, so the answer is the one math.hypot gives.
+    walk yields _walk's blocks of (terms, partial sums), M along axis 0 and
+    one column per walk run in lockstep.  s_M is the mean of a walk's first
+    M + 1 terms, and the comparison allows GHOST_SLACK.  Each block is
+    decided with np.hypot; a magnitude within _BAR_ULPS of the bar is
+    decided again with math.hypot, so the answer is the one math.hypot
+    gives.
     """
     bar = threshold + GHOST_SLACK
     near = _BAR_ULPS * np.spacing(abs(bar))
     start = 0
-    while len(block := np.array(list(islice(walk, columns)))):
+    # the partial sums alone, so that no block's terms outlive it
+    for block in map(itemgetter(1), walk):
         re, im = (part.reshape(len(block), -1) for part in (block.real, block.imag))
         mags = np.hypot(re, im) / np.arange(start + 1, start + len(block) + 1)[:, None]
         below = mags <= bar
@@ -164,7 +162,7 @@ def min_suppression_M(
     if m_cap < 1:
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")
     phases = _curlicue_phases(eps, n, range(m_cap + 1))
-    return _first_suppressed(_running_sums(_terms(phases)), threshold, _WALK_TERMS)
+    return _first_suppressed(_walk(phases), threshold)
 
 
 def scan_window(
@@ -233,9 +231,8 @@ def scaling_study(
             rows.append(ScalingRow(N, (l_min, l_max), 0.0, 0, root))
             continue
         worst = min((epsilon(N, l).magnitude for l in nonfactors))
-        columns = max(1, BLOCK_TERMS // len(nonfactors))
-        phases = _lockstep_phases(N, nonfactors, n, range(m_cap + 1), columns)
-        required = _first_suppressed(_running_sums(_terms(phases)), threshold, columns)
+        phases = _lockstep_phases(N, nonfactors, n, range(m_cap + 1))
+        required = _first_suppressed(_walk(phases), threshold)
         rows.append(ScalingRow(N, (l_min, l_max), worst, required, root))
     return rows
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, groupby, islice
 from math import fsum
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -45,7 +45,8 @@ __all__ = [
     "COMPLETE_SUM_CAP",
 ]
 
-# A complete pulse train has l pulses; refuse silly l unless overridden.
+# A complete pulse train has l pulses, so Complete.terms refuses l above this;
+# the closed form takes any l.
 COMPLETE_SUM_CAP = 10**7
 # The batched kernel evaluates at most this many (l, m) terms at a time, so
 # its arrays stay near a megabyte however wide the window or long the row.
@@ -57,16 +58,9 @@ _UINT64_BOUND = 1 << 32
 _EXACT_FLOAT_INT = 1 << 53
 _SPLIT = float((1 << 27) + 1)  # Veltkamp's splitter for 53-bit doubles
 _TWO_PRODUCT_FLOOR = 2.0 ** -960
-# A curlicue walk turns each term into Python objects, so its blocks stay
-# smaller; they start smaller still, so a walk read a little way forms few
-# phases.
+# A walk's Kahan recurrence turns each term into Python objects, so its
+# blocks stay smaller.
 _WALK_TERMS = 1 << 12
-_FIRST_BLOCK = 1 << 10
-
-
-def _check_complete_cap(l: int) -> None:
-    if l > COMPLETE_SUM_CAP:
-        raise ValueError(f"complete sum over l={l} exceeds the cap {COMPLETE_SUM_CAP}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,8 @@ class Complete:
 
     def terms(self, l: int) -> range:
         """Every residue of l; refuses l above COMPLETE_SUM_CAP."""
-        _check_complete_cap(l)
+        if l > COMPLETE_SUM_CAP:
+            raise ValueError(f"complete sum over l={l} exceeds the cap {COMPLETE_SUM_CAP}")
         return range(l)
 
 
@@ -254,8 +249,7 @@ def _curlicue_phases(eps: float, n: int, ms: Iterable[int]) -> Iterator[np.ndarr
     element takes the error-free product of _two_product_phases where its
     conditions hold and _phases in exact ints where they do not: m**n at or
     past 2**53, |eps| outside [2**-960, 1], or an ambiguous rounding.
-    Blocks grow from _FIRST_BLOCK to _WALK_TERMS terms.  eps and n are
-    checked on the call.
+    Blocks hold _WALK_TERMS terms.  eps and n are checked on the call.
     """
     if not math.isfinite(eps):
         raise ValueError(f"epsilon must be finite, got {eps}")
@@ -266,9 +260,7 @@ def _curlicue_phases(eps: float, n: int, ms: Iterable[int]) -> Iterator[np.ndarr
     terms = iter(ms)
 
     def blocks() -> Iterator[np.ndarray]:
-        size = _FIRST_BLOCK
-        while block := list(islice(terms, size)):
-            size = min(2 * size, _WALK_TERMS)
+        while block := list(islice(terms, _WALK_TERMS)):
             if 0 <= min(block) and max(block) <= bound:
                 ph, exact = _two_product_phases(eps, n, np.array(block, dtype=np.int64))
             else:
@@ -283,51 +275,43 @@ def _curlicue_phases(eps: float, n: int, ms: Iterable[int]) -> Iterator[np.ndarr
     return blocks()
 
 
-_Term = TypeVar("_Term")
+def _walk(blocks: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(terms, partial sums) for each block of phases, with M along axis 0.
 
-
-def _running_sums(terms: Iterable[_Term]) -> Iterator[_Term]:
-    """Yield the Kahan-compensated partial sum after each term.
-
-    The package's one prefix sum.  A term is a complex number for one walk,
-    or a complex array holding the next term of many walks run in lockstep.
-    Complex addition and subtraction act on each part alone, in Python as
-    in numpy, so every part of every walk gets the bits of a float Kahan
-    sum of its own.  Kahan compensation keeps the sums as accurate as a
-    one-shot fsum over the term counts this package uses.
+    The package's one prefix sum.  A block of shape (k,) holds the next k
+    phases of one walk; a block of shape (k, walks) holds the next k phases
+    of many walks run in lockstep.  The terms cos(phase) + i sin(phase) take
+    their parts from np.cos and np.sin, so they keep the bits of math.cos
+    and math.sin.  The partial sums come from one Kahan-compensated
+    recurrence carried across blocks: on Python complex numbers for one
+    walk, on the rows of the block in lockstep.  Complex addition and
+    subtraction act on each part alone, in Python as in numpy, so every
+    part of every walk gets the bits of a float Kahan sum of its own.
+    Kahan compensation keeps the sums as accurate as a one-shot fsum over
+    the term counts this package uses.
     """
     total = comp = 0.0
-    for x in terms:
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        yield t
-
-
-def _terms(blocks: Iterable[np.ndarray]) -> Iterator:
-    """The terms cos(phase) + i sin(phase) of blocks of phases, lazily.
-
-    A 1-D block holds one walk's next phases, which stream out as Python
-    complex numbers; a 2-D block holds one row per walk and streams out one
-    column, the next term of every walk, at a time.  The parts are set from
-    np.cos and np.sin, not formed by complex arithmetic, so they keep the
-    bits of math.cos and math.sin.
-    """
     for phases in blocks:
-        z = np.empty(phases.shape, dtype=np.complex128)
-        z.real, z.imag = np.cos(phases), np.sin(phases)
-        yield from z.tolist() if z.ndim == 1 else z.T
+        terms = np.empty(phases.shape, dtype=np.complex128)
+        terms.real, terms.imag = np.cos(phases), np.sin(phases)
+        partials = []
+        for x in terms.tolist() if terms.ndim == 1 else terms:
+            y = x - comp
+            t = total + y
+            comp, total = (t - total) - y, t
+            partials.append(t)
+        partials = np.array(partials)  # the list goes before the block is read
+        yield terms, partials
 
 
-def _uint64_residues(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
-    """(m**n * N) mod l for each l in ls (rows) and m in ms (columns).
+def _uint64_residues(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
+    """(m**n * t) mod l for each t = N mod l in ts and l in ls (rows), m in ms (columns).
 
     Square-and-multiply in uint64, so order n costs O(log n) array steps.
     Every factor is reduced below l <= 2**32, so no product reaches 2**64.
     """
     l = np.array(ls, dtype=np.uint64)[:, None]
-    r = np.array([N % x for x in ls], dtype=np.uint64)[:, None]
+    r = np.array(ts, dtype=np.uint64)[:, None]
     base = np.array(ms, dtype=np.uint64) % l
     while True:
         if n & 1:
@@ -338,19 +322,20 @@ def _uint64_residues(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> np
         base = base * base % l
 
 
-def _uint64_phases(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
+def _uint64_phases(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
     """The phases of _residue_phases, one row per l < 2**32, from uint64 residues.
 
-    pi * (2r / l) has the bits of _phases: (m**n * 2t) mod 2l = 2r, and 2r
-    and l convert to float exactly, so the one rounding is the division.
+    ts holds N mod l for each l.  pi * (2r / l) has the bits of _phases:
+    (m**n * 2t) mod 2l = 2r, and 2r and l convert to float exactly, so the
+    one rounding is the division.
     """
     l = np.array(ls, dtype=np.float64)[:, None]
-    return math.pi * ((2 * _uint64_residues(N, ls, n, ms)).astype(np.float64) / l)
+    return math.pi * ((2 * _uint64_residues(ts, ls, n, ms)).astype(np.float64) / l)
 
 
-def _bigint_phases(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
+def _bigint_phases(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
     """The same phases for l >= 2**32, reduced in exact ints by _phases."""
-    return np.array([list(_phases(2 * (N % l), l, n, ms)) for l in ls], dtype=np.float64)
+    return np.array([list(_phases(2 * t, l, n, ms)) for t, l in zip(ts, ls)], dtype=np.float64)
 
 
 def _phase_path(l: int) -> Callable[..., np.ndarray]:
@@ -358,19 +343,21 @@ def _phase_path(l: int) -> Callable[..., np.ndarray]:
     return _uint64_phases if l < _UINT64_BOUND else _bigint_phases
 
 
-def _lockstep_phases(
-    N: int, ls: Sequence[int], n: int, ms: range, columns: int
-) -> Iterator[np.ndarray]:
-    """The phases of _residue_phases, one row per l, `columns` m at a time.
+def _lockstep_phases(N: int, ls: Sequence[int], n: int, ms: range) -> Iterator[np.ndarray]:
+    """The phases of _residue_phases for walks over ms in lockstep, one column per l.
 
-    Each row is formed on its l's kernel path.
+    Each block holds the next BLOCK_TERMS // len(ls) values of m, or one,
+    along axis 0, as _walk reads them.  Each column is formed on its l's
+    kernel path, from N mod l formed once per walk.
     """
     runs = [(phases, list(run)) for phases, run in groupby(ls, _phase_path)]
+    runs = [(phases, [N % l for l in run], run) for phases, run in runs]
+    columns = max(1, BLOCK_TERMS // len(ls))
     for start in count(0, columns):
         part = ms[start:start + columns]
         if not part:
             return
-        yield np.concatenate([phases(N, run, n, part) for phases, run in runs])
+        yield np.concatenate([phases(ts, run, n, part) for phases, ts, run in runs]).T
 
 
 def _residue_means(
@@ -395,15 +382,16 @@ def _residue_means(
     rows = max(1, BLOCK_TERMS // count)
     for phases, run in groupby(ls, _phase_path):
         for block in iter(lambda: list(islice(run, rows)), []):
+            ts = [N % l for l in block]
             if len(pieces) == 1:
-                ph = phases(N, block, n, ms)
+                ph = phases(ts, block, n, ms)
                 for re, im in zip(np.cos(ph).tolist(), np.sin(ph).tolist()):
                     yield SumValue(fsum(re) / count, fsum(im) / count, count)
                 continue
             # one l, its row fed to fsum piece by piece, once per component
             re, im = (
                 fsum(chain.from_iterable(
-                    trig(phases(N, block, n, part))[0].tolist() for part in pieces
+                    trig(phases(ts, block, n, part))[0].tolist() for part in pieces
                 ))
                 for trig in (np.cos, np.sin)
             )
@@ -434,17 +422,15 @@ def _complete_mean(t: int, l: int) -> tuple[float, float]:
     return (s, s) if a % 4 == 1 else (s, -s)
 
 
-def complete_gauss_sum(N: int, l: int, *, allow_large: bool = False) -> SumValue:
+def complete_gauss_sum(N: int, l: int) -> SumValue:
     """Normalized quadratic Gauss sum over all l residues, in closed form.
 
-    O(log l) integer steps (see _complete_mean); term_count is still l.
-    Refuses l above COMPLETE_SUM_CAP unless allow_large is set.
+    O(log l) integer steps (see _complete_mean) for any l; term_count is
+    still l.
     """
     _check_trial(l)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    if not allow_large:
-        _check_complete_cap(l)
     return SumValue(*_complete_mean(N % l, l), l)
 
 
@@ -539,7 +525,16 @@ def residue_magnitudes(l: int, n: int, M: int) -> np.ndarray:
     return np.hypot(acc_re, acc_im) / len(ms)
 
 
+def _curlicue_walk(eps: float, n: int, ms: Iterable[int]) -> Iterator[tuple[complex, complex]]:
+    """(term, partial sum) of the curlicue walk over ms, one m at a time.
+
+    eps and n are checked on the call.
+    """
+    blocks = _walk(_curlicue_phases(eps, n, ms))
+    return chain.from_iterable(zip(t.tolist(), s.tolist()) for t, s in blocks)
+
+
 def iter_curlicue_magnitudes(eps: float, n: int) -> Iterator[tuple[int, float]]:
     """Yield (M, |s_M|) for M = 0, 1, 2, ... without re-summing."""
-    walk = _running_sums(_terms(_curlicue_phases(eps, n, count())))
-    return ((m, math.hypot(s.real, s.imag) / (m + 1)) for m, s in enumerate(walk))
+    walk = enumerate(_curlicue_walk(eps, n, count()))
+    return ((m, math.hypot(s.real, s.imag) / (m + 1)) for m, (_, s) in walk)

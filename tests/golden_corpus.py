@@ -51,7 +51,7 @@ CASES: dict[str, list[str]] = {
     "classify-12-complete-c2mod4": ["classify", "--n", N12, "--l", "1299718", "--complete"],
     "classify-12-complete-c0mod4": ["classify", "--n", N12, "--l", "1299716", "--complete"],
     "scan-12-complete": ["scan", "--n", N12, "--window", "1299699:1299731", "--complete"],
-    "scan-17-complete-cap": ["scan", "--n", N17, "--complete"],
+    "scan-17-complete": ["scan", "--n", N17, "--complete"],
     "scan-17-json": ["scan", "--n", N17, "--truncation", "19", "--format", "json"],
     "scan-unknown-flag": ["scan", "--n", N12, "--truncation", "19", "--bogus"],
     "classify-12-factor": ["classify", "--n", N12, "--l", "1299709", "--truncation", "19"],

@@ -8,6 +8,7 @@ from itertools import islice
 import pytest
 
 import gaussfactor.cli as cli
+import gaussfactor.sums as sums
 from gaussfactor import iter_curlicue_magnitudes
 from gaussfactor.cli import (
     RESULT_HEADER,
@@ -154,21 +155,26 @@ class TestScan:
         assert code == 1
         assert "--window" in err
 
-    def test_domain_error_names_n_and_l(self, capsys):
+    def test_domain_error_names_n_and_l(self, capsys, monkeypatch):
+        # the cap binds the complete pulse train, one pulse per residue of l
+        monkeypatch.setattr(sums, "COMPLETE_SUM_CAP", 50)
         code, out, err = run(
-            capsys, "scan", "--n", "10", "--window", "10000001:10000001", "--complete"
+            capsys, "simulate", "--n", "10", "--window", "51:51", "--complete",
+            "--theta", "0.0025",
         )
         assert code == 3
         assert out == ""
-        assert "cap" in err and "(N=10, l=10000001)" in err
+        assert "cap" in err and "(N=10, l=51)" in err
 
-    def test_domain_error_inside_a_window_names_its_l(self, capsys):
+    def test_domain_error_inside_a_window_names_its_l(self, capsys, monkeypatch):
+        monkeypatch.setattr(sums, "COMPLETE_SUM_CAP", 50)
         code, out, err = run(
-            capsys, "scan", "--n", "10", "--window", "9999998:10000003", "--complete"
+            capsys, "simulate", "--n", "10", "--window", "48:53", "--complete",
+            "--theta", "0.0025",
         )
         assert code == 3
         assert out == ""
-        assert "(N=10, l=10000001)" in err
+        assert "(N=10, l=51)" in err
 
     def test_scan_holds_one_classified_trial_at_a_time(self, capsys, monkeypatch):
         # each trial becomes its row cells and is dropped before the next
@@ -375,12 +381,21 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
-    def test_complete_sum_cap_is_a_domain_error(self, capsys):
-        code, _, err = run(capsys, "classify", "--n", "10", "--l", "10000001", "--complete")
+    def test_complete_sum_cap_is_a_domain_error(self, capsys, monkeypatch):
+        # the closed form takes any l; only the complete pulse train is capped
+        monkeypatch.setattr(sums, "COMPLETE_SUM_CAP", 50)
+        code, _, err = run(
+            capsys, "simulate", "--n", "10", "--l", "51", "--complete", "--theta", "0.0025"
+        )
         assert code == 3
         assert "cap" in err
-        # no flag reaches complete_gauss_sum's allow_large
+        # the message names no keyword that no flag reaches
         assert "allow_large" not in err
+
+    def test_closed_form_takes_l_past_the_pulse_cap(self, capsys):
+        code, out, err = run(capsys, "classify", "--n", "10", "--l", "10000001", "--complete")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("10000001,")
 
     def test_unwritable_output_path(self, capsys):
         code, _, err = run(

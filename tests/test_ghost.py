@@ -193,6 +193,12 @@ class TestBarDecision:
         assert t + GHOST_SLACK == bar
         return t
 
+    @staticmethod
+    def blocks(partials: list) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One block of a walk with these partial sums, as sums._walk yields it."""
+        sums_ = np.array(partials)
+        return [(np.diff(sums_, axis=0, prepend=0), sums_)]
+
     def test_math_hypot_decides_at_the_bar(self):
         re, im = self.hypot_split()
         by_numpy, by_math = float(np.hypot(re, im)), math.hypot(re, im)
@@ -200,7 +206,7 @@ class TestBarDecision:
         for bar in (by_numpy, by_math):
             threshold = self.threshold_for(bar)
             want = 0 if by_math <= bar else None
-            assert ghost._first_suppressed(iter([complex(re, im)]), threshold, 1) == want
+            assert ghost._first_suppressed(self.blocks([complex(re, im)]), threshold) == want
 
     def test_math_hypot_decides_in_lockstep_rows(self):
         re, im = self.hypot_split()
@@ -208,9 +214,9 @@ class TestBarDecision:
         threshold = self.threshold_for(min(by_math, float(np.hypot(re, im))))
         # two walks in lockstep, both above the bar at M = 0, and at M = 1
         # the split pair in the second row, doubled as a sum of two terms
-        walk = [np.array([1 + 1j, 1 + 1j]), np.array([0j, complex(2 * re, 2 * im)])]
+        walk = [[1 + 1j, 1 + 1j], [0j, complex(2 * re, 2 * im)]]
         want = 1 if by_math <= threshold + GHOST_SLACK else None
-        assert ghost._first_suppressed(iter(walk), threshold, 2) == want
+        assert ghost._first_suppressed(self.blocks(walk), threshold) == want
 
 
 class TestScanWindow:
@@ -247,10 +253,15 @@ class TestScanWindow:
             iter_scan_window(15, 5, 4, FULL19)
 
     def test_iterator_raises_when_the_failing_trial_is_read(self):
+        # the closed form takes any l: trials past the cap on Complete.terms
+        # are classified one at a time as they are read
         cap = sums.COMPLETE_SUM_CAP
         trials = iter_scan_window(10, cap - 1, cap + 1, SumSpec(Complete()))
-        assert [next(trials).l, next(trials).l] == [cap - 1, cap]
-        with pytest.raises(ValueError, match="cap"):
+        assert [next(trials).l, next(trials).l, next(trials).l] == [cap - 1, cap, cap + 1]
+        assert next(trials, None) is None
+        # a trial that cannot be evaluated raises when it is read, not before
+        trials = iter_scan_window(-1, 2, 3, SumSpec(Complete()))
+        with pytest.raises(ValueError, match="N must be >= 0"):
             next(trials)
 
     def test_deterministic_with_seeded_strategy(self):

@@ -75,10 +75,13 @@ class TestCompleteSum:
         assert v.magnitude == pytest.approx(1 / math.sqrt(7), abs=1e-12)
 
     def test_cap_refuses_unless_forced(self, monkeypatch):
+        # the cap guards the l-pulse train of Complete.terms; the closed
+        # form costs O(log l) and takes any l
         monkeypatch.setattr(sums, "COMPLETE_SUM_CAP", 50)
+        assert Complete().terms(50) == range(50)
         with pytest.raises(ValueError, match="cap"):
-            complete_gauss_sum(15, 51)
-        v = complete_gauss_sum(102, 51, allow_large=True)
+            Complete().terms(51)
+        v = complete_gauss_sum(102, 51)
         assert v.magnitude == pytest.approx(1.0, abs=1e-12)
 
 
@@ -376,13 +379,13 @@ class TestBatchedKernel:
         assert [bits(v) for v in values] == [bits(scalar_mean(N, l, n, ms)) for l in ls]
         small = [l for l in ls if l < BOUND]
         if small:
-            residues = sums._uint64_residues(N, small, n, ms).tolist()
+            residues = sums._uint64_residues([N % l for l in small], small, n, ms).tolist()
             assert residues == [[pow(m, n, l) * (N % l) % l for m in ms] for l in small]
-            phases = sums._uint64_phases(N, small, n, ms).tolist()
+            phases = sums._uint64_phases([N % l for l in small], small, n, ms).tolist()
             assert phases == [list(sums._residue_phases(N, l, n, ms)) for l in small]
         large = [l for l in ls if l >= BOUND]
         if large:
-            phases = sums._bigint_phases(N, large, n, ms).tolist()
+            phases = sums._bigint_phases([N % l for l in large], large, n, ms).tolist()
             assert phases == [list(sums._residue_phases(N, l, n, ms)) for l in large]
 
     @pytest.mark.parametrize(
@@ -418,9 +421,9 @@ class TestBatchedKernel:
     def test_blocks_hold_at_most_block_terms(self, monkeypatch):
         sizes = []
         for name in ("_uint64_phases", "_bigint_phases"):
-            def spy(N, ls, n, ms, real=getattr(sums, name)):
+            def spy(ts, ls, n, ms, real=getattr(sums, name)):
                 sizes.append(len(ls) * len(ms))
-                return real(N, ls, n, ms)
+                return real(ts, ls, n, ms)
 
             monkeypatch.setattr(sums, name, spy)
         for l in (1299711, BOUND + 3):
@@ -433,7 +436,7 @@ class TestBatchedKernel:
         # n - 1 multiplications takes a million and many seconds
         ls, ms, n = range(1299699, 1299732), range(200), 10**6 + 3
         start = time.perf_counter()
-        residues = sums._uint64_residues(N12, ls, n, ms)
+        residues = sums._uint64_residues([N12 % l for l in ls], ls, n, ms)
         elapsed = time.perf_counter() - start
         assert residues.tolist() == [[pow(m, n, l) * (N12 % l) % l for m in ms] for l in ls]
         assert elapsed < 0.5
@@ -442,7 +445,8 @@ class TestBatchedKernel:
         # the kernel takes np.cos and np.sin where the scalar path takes
         # math.cos and math.sin; on a build where they round differently,
         # the kernel's sums lose their bit-identity with the scalar path
-        kernel = sums._uint64_phases(N12, range(1289709, 1309709), 2, range(20)).ravel()
+        ls = range(1289709, 1309709)
+        kernel = sums._uint64_phases([N12 % l for l in ls], ls, 2, range(20)).ravel()
         uniform = np.random.default_rng(0).uniform(0.0, 2 * math.pi, 200_000)
         for phases in (kernel, uniform):
             listed = phases.tolist()
@@ -483,6 +487,12 @@ def reference_curlicue_phases(eps: float, n: int, ms) -> list[str]:
 
 def blocked_curlicue_phases(eps: float, n: int, ms) -> list[str]:
     return hexes(np.concatenate(list(sums._curlicue_phases(eps, n, ms))).tolist())
+
+
+def lockstep_partials(N: int, ls, n: int, ms) -> np.ndarray:
+    """The lockstep walks' partial sums, one row per M and one column per l."""
+    blocks = sums._walk(sums._lockstep_phases(N, ls, n, ms))
+    return np.concatenate([s for _, s in blocks])
 
 
 def kahan(terms) -> list[float]:
@@ -560,10 +570,11 @@ class TestBlockedWalks:
         for eps in (1e-16, -1e-16, 0.3, -0.7):
             assert blocked_curlicue_phases(eps, 4, ms) == reference_curlicue_phases(eps, 4, ms)
 
-    def test_walk_blocks_grow_to_their_cap(self):
-        sizes = [len(b) for b in islice(sums._curlicue_phases(1e-12, 2, count()), 8)]
-        assert sizes[0] == sums._FIRST_BLOCK
-        assert max(sizes) == sizes[-1] == sums._WALK_TERMS <= sums.BLOCK_TERMS
+    def test_walk_blocks_hold_walk_terms(self):
+        sizes = [len(b) for b in islice(sums._curlicue_phases(1e-12, 2, count()), 3)]
+        assert sizes == [sums._WALK_TERMS] * 3 and sums._WALK_TERMS <= sums.BLOCK_TERMS
+        ms = range(2 * sums._WALK_TERMS + 1)
+        assert [len(b) for b in sums._curlicue_phases(1e-12, 2, ms)] == [sums._WALK_TERMS] * 2 + [1]
 
     def test_numpy_trig_matches_math_on_curlicue_phases(self):
         # walks take np.cos and np.sin where the per-term walk took
@@ -582,8 +593,7 @@ class TestBlockedWalks:
     def test_lockstep_sums_match_each_walk_alone(self, lo):
         N, n, ms = 32193216510801043, 3, range(300)
         ls = [l for l in range(lo, lo + 40) if N % l]
-        phases = sums._lockstep_phases(N, ls, n, ms, 7)
-        walks = np.array(list(sums._running_sums(sums._terms(phases)))).T
+        walks = lockstep_partials(N, ls, n, ms).T
         for l, row_re, row_im in zip(ls, walks.real.tolist(), walks.imag.tolist()):
             ph = list(sums._residue_phases(N, l, n, ms))
             assert hexes(row_re) == hexes(kahan(map(math.cos, ph)))
@@ -591,19 +601,44 @@ class TestBlockedWalks:
 
     def test_lockstep_blocks_hold_at_most_block_terms(self):
         ls = range(1299000, 1300400)
-        shapes = [b.shape for b in sums._lockstep_phases(N12, ls, 2, range(100), 11)]
-        assert shapes == [(1400, 11)] * 9 + [(1400, 1)]
+        shapes = [b.shape for b in sums._lockstep_phases(N12, ls, 2, range(100))]
+        assert shapes == [(11, 1400)] * 9 + [(1, 1400)]
         assert 1400 * 11 <= sums.BLOCK_TERMS
+        blocks = list(sums._walk(sums._lockstep_phases(N12, ls, 2, range(100))))
+        assert [(t.shape, s.shape) for t, s in blocks] == [(b, b) for b in shapes]
 
     def test_one_walk_streams_python_complex_terms(self):
         ms = range(3000)
-        terms = list(sums._terms(sums._curlicue_phases(4e-5, 2, ms)))
+        blocks = list(sums._walk(sums._curlicue_phases(4e-5, 2, ms)))
+        assert [(t.shape, s.shape) for t, s in blocks] == [((3000,), (3000,))]
+        terms, walk = (np.concatenate(part).tolist() for part in zip(*blocks))
         assert len(terms) == 3000 and all(type(z) is complex for z in terms)
         p, q = (4e-5).as_integer_ratio()
         phases = [curlicue_phase(m, 2, p, q) for m in ms]
-        walk = list(sums._running_sums(terms))
+        assert hexes(z.real for z in terms) == hexes(map(math.cos, phases))
+        assert hexes(z.imag for z in terms) == hexes(map(math.sin, phases))
         assert hexes(z.real for z in walk) == hexes(kahan(map(math.cos, phases)))
         assert hexes(z.imag for z in walk) == hexes(kahan(map(math.sin, phases)))
+
+    @pytest.mark.parametrize("walk", ["one", "lockstep"])
+    def test_kahan_state_carries_across_blocks(self, monkeypatch, walk):
+        # blocks of 7 terms, and lockstep blocks of 2 rows, must sum as one
+        # block does: the recurrence carries its total and its compensation
+        def partials():
+            if walk == "one":
+                phases = sums._curlicue_phases(4e-5, 2, range(300))
+            else:  # three walks, on both sides of 2**32
+                ls = [BOUND - 7, BOUND - 1, BOUND + 3]
+                phases = sums._lockstep_phases(32193216510801043, ls, 3, range(300))
+            return np.concatenate([s for _, s in sums._walk(phases)])
+
+        whole = partials()
+        monkeypatch.setattr(sums, "_WALK_TERMS", 7)
+        monkeypatch.setattr(sums, "BLOCK_TERMS", 7)
+        blocked = partials()
+        assert whole.shape == blocked.shape == ((300,) if walk == "one" else (300, 3))
+        for want, got in ((whole.real, blocked.real), (whole.imag, blocked.imag)):
+            assert hexes(got.ravel().tolist()) == hexes(want.ravel().tolist())
 
 
 class TestSpecAndValue:
