@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import hypot, sqrt
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -54,9 +53,15 @@ GHOST_THRESHOLD = 1 / sqrt(2)
 # threshold cases out of the ghost class and the band gives them a home
 GHOST_SLACK = 1e-9
 THRESHOLD_BAND = 1e-3
-# np.hypot and math.hypot differ by at most an ulp, so a magnitude this many
-# ulps of the bar away from it is on the same side whichever one formed it
+# A magnitude formed in numpy from float sums differs from math.hypot's by a
+# few ulps at most, so one this many ulps of the bar away from it is on the
+# same side whichever one formed it
 _BAR_ULPS = 8
+# A walk's float prefix sums lie within 2**-51 * (M + 2) + 2**-43 of the
+# correctly rounded ones (sums._Sums.approx), so a magnitude formed from
+# them lies within sqrt(2) * (2**-50 + 2**-43) < 2**-42 of the one formed
+# from the rounded sums, before the roundings of forming it
+_APPROX_SLACK = 2.0**-40
 
 # Built-in demonstration targets: products of adjacent primes, with scan
 # windows covering both factors.  The second window is the range the
@@ -119,27 +124,34 @@ def _classified(N: int, l: int, value: SumValue, spec: SumSpec) -> ClassifiedTri
 def _first_suppressed(walk: Iterable, threshold: float) -> int | None:
     """First M at which every walk has |s_M| <= threshold, or None once they end.
 
-    walk yields _walk's blocks of (terms, partial sums), M along axis 0 and
-    one column per walk run in lockstep.  s_M is the mean of a walk's first
-    M + 1 terms, and the comparison allows GHOST_SLACK.  Each block is
-    decided with np.hypot; a magnitude within _BAR_ULPS of the bar is
-    decided again with math.hypot, so the answer is the one math.hypot
-    gives.
+    walk yields sums._walk's blocks of prefix sums, M along axis 0 and one
+    column per walk run in lockstep.  s_M is the mean of a walk's first
+    M + 1 terms, its magnitude math.hypot of the correctly rounded sums over
+    M + 1, and the comparison allows GHOST_SLACK.  Each block is decided on
+    the float approximations of its sums; a magnitude within _APPROX_SLACK
+    and _BAR_ULPS of the bar is decided again from the exact sums, so the
+    answer is the one the correctly rounded sums give.
     """
     bar = threshold + GHOST_SLACK
-    near = _BAR_ULPS * np.spacing(abs(bar))
-    start = 0
-    # the partial sums alone, so that no block's terms outlive it
-    for block in map(itemgetter(1), walk):
-        re, im = (part.reshape(len(block), -1) for part in (block.real, block.imag))
-        mags = np.hypot(re, im) / np.arange(start + 1, start + len(block) + 1)[:, None]
+    near = _APPROX_SLACK + _BAR_ULPS * np.spacing(abs(bar))
+
+    def first(sums) -> int | None:
+        re, im = sums.approx()  # fresh arrays, squared in place
+        mags = np.square(re, out=re)
+        mags += np.square(im, out=im)
+        np.sqrt(mags, out=mags)
+        mags /= np.arange(sums.start + 1, sums.start + len(mags) + 1)[:, None]
         below = mags <= bar
-        for M, row in zip(*np.nonzero(abs(mags - bar) <= near)):
-            below[M, row] = hypot(re[M, row], im[M, row]) / (start + M + 1) <= bar
+        gap = np.abs(np.subtract(mags, bar, out=im), out=im)
+        for M, col in zip(*np.nonzero(gap <= near)):
+            below[M, col] = hypot(*sums.rounded(M, col)) / (sums.start + M + 1) <= bar
         done = below.all(axis=1)
-        if done.any():
-            return start + int(done.argmax())
-        start += len(block)
+        return sums.start + int(done.argmax()) if done.any() else None
+
+    # through map, so that no block outlives its turn
+    for M in map(first, walk):
+        if M is not None:
+            return M
     return None
 
 

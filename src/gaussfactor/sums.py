@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, groupby, islice
+from itertools import chain, count, groupby, islice, tee
 from math import fsum
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -51,6 +51,10 @@ COMPLETE_SUM_CAP = 10**7
 # The batched kernel evaluates at most this many (l, m) terms at a time, so
 # its arrays stay near a megabyte however wide the window or long the row.
 BLOCK_TERMS = 1 << 14
+# Walks, which keep more arrays per term, take at most this many at a time.
+_WALK_TERMS = 1 << 13
+# A curlicue walk's first block, small so that its first values come early.
+_FIRST_TERMS = 1 << 5
 # Residues below l multiply to less than 2**64 while l <= 2**32.
 _UINT64_BOUND = 1 << 32
 # A curlicue phase m**n * eps is an error-free double product while m**n
@@ -58,9 +62,12 @@ _UINT64_BOUND = 1 << 32
 _EXACT_FLOAT_INT = 1 << 53
 _SPLIT = float((1 << 27) + 1)  # Veltkamp's splitter for 53-bit doubles
 _TWO_PRODUCT_FLOOR = 2.0 ** -960
-# A walk's Kahan recurrence turns each term into Python objects, so its
-# blocks stay smaller.
-_WALK_TERMS = 1 << 12
+# A prefix sum is exact in int64 limbs of units 2**-_SHIFTS[j], 55 bits
+# apart: a head in units of 8, then 2**-52, 2**-107 and on, down to
+# 2**-1097, below the least subnormal.  Limbs of one term are below 2**54,
+# so int64 sums over _SUB_TERMS rows cannot overflow.
+_SHIFTS = tuple(55 * j - 3 for j in range(21))
+_SUB_TERMS = 256
 
 
 @dataclass(frozen=True)
@@ -242,14 +249,16 @@ def _power_bound(n: int) -> int:
     return m
 
 
-def _curlicue_phases(eps: float, n: int, ms: Iterable[int]) -> Iterator[np.ndarray]:
+def _curlicue_phases(eps: float, n: int, ms: Sequence[int]) -> Iterator[np.ndarray]:
     """The phases pi*m**n*eps for m in ms, reduced mod 2*pi, in blocks.
 
     Bit for bit the phases of _phases on the exact ratio p/q of eps.  Each
     element takes the error-free product of _two_product_phases where its
-    conditions hold and _phases in exact ints where they do not: m**n at or
-    past 2**53, |eps| outside [2**-960, 1], or an ambiguous rounding.
-    Blocks hold _WALK_TERMS terms.  eps and n are checked on the call.
+    conditions hold and _phases in exact ints where they do not: m outside
+    [0, 2**63), m**n at or past 2**53, |eps| outside [2**-960, 1], or an
+    ambiguous rounding.  The first block holds _FIRST_TERMS terms, and each
+    next one twice as many up to _WALK_TERMS.  A block of a range inside [0, 2**63) is formed by
+    np.arange.  eps and n are checked on the call.
     """
     if not math.isfinite(eps):
         raise ValueError(f"epsilon must be finite, got {eps}")
@@ -257,51 +266,204 @@ def _curlicue_phases(eps: float, n: int, ms: Iterable[int]) -> Iterator[np.ndarr
     n = operator.index(n)
     p, q = eps.as_integer_ratio()
     bound = _power_bound(n) if _TWO_PRODUCT_FLOOR <= abs(eps) <= 1 else -1
-    terms = iter(ms)
 
     def blocks() -> Iterator[np.ndarray]:
-        while block := list(islice(terms, _WALK_TERMS)):
-            if 0 <= min(block) and max(block) <= bound:
-                ph, exact = _two_product_phases(eps, n, np.array(block, dtype=np.int64))
+        start, size = 0, min(_FIRST_TERMS, _WALK_TERMS)
+        while part := ms[start:start + size]:
+            start, size = start + size, min(2 * size, _WALK_TERMS)
+            if isinstance(part, range) and 0 <= part[0] < 2**63 and 0 <= part[-1] < 2**63:
+                m = np.arange(part.start, part.stop, part.step)
             else:
-                m = np.array([x if 0 <= x <= bound else -1 for x in block], dtype=np.int64)
-                ph, exact = _two_product_phases(eps, n, np.maximum(m, 0))
-                exact |= m < 0
-            redo = np.flatnonzero(exact).tolist()
+                m = np.array([x if 0 <= x < 2**63 else -1 for x in part], dtype=np.int64)
+            out = (m < 0) | (m > bound)
+            ph, redo = _two_product_phases(eps, n, np.where(out, 0, m))
+            redo = np.flatnonzero(redo | out).tolist()
             if redo:
-                ph[redo] = list(_phases(p, q, n, [block[i] for i in redo]))
+                ph[redo] = list(_phases(p, q, n, [part[i] for i in redo]))
             yield ph
 
     return blocks()
 
 
-def _walk(blocks: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(terms, partial sums) for each block of phases, with M along axis 0.
+def _split(x: np.ndarray, least: int) -> np.ndarray:
+    """int64 limbs a_1, a_2, ... with x = sum_j a_j * 2**-_SHIFTS[j] exactly, for x in [-1, 1].
 
-    The package's one prefix sum.  A block of shape (k,) holds the next k
-    phases of one walk; a block of shape (k, walks) holds the next k phases
-    of many walks run in lockstep.  The terms cos(phase) + i sin(phase) take
-    their parts from np.cos and np.sin, so they keep the bits of math.cos
-    and math.sin.  The partial sums come from one Kahan-compensated
-    recurrence carried across blocks: on Python complex numbers for one
-    walk, on the rows of the block in lockstep.  Complex addition and
-    subtraction act on each part alone, in Python as in numpy, so every
-    part of every walk gets the bits of a float Kahan sum of its own.
-    Kahan compensation keeps the sums as accurate as a one-shot fsum over
-    the term counts this package uses.
+    a_1 = rint(x * 2**52), so |a_1| <= 2**52, and each later limb rounds
+    what is left, scaled by 2**55, so |a_j| <= 2**54.  Every step is exact:
+    it scales by powers of 2 and takes the bits of a float apart.  There
+    are `least` limbs, and more while anything is left: x = 0 and 2**-55 <=
+    |x| end at a_2, whose unit 2**-107 is their last bit or below it; a
+    tinier x, such as sin of a tiny phase, takes more.  Limbs stack along
+    axis 0; x is overwritten.
     """
-    total = comp = 0.0
-    for phases in blocks:
-        terms = np.empty(phases.shape, dtype=np.complex128)
-        terms.real, terms.imag = np.cos(phases), np.sin(phases)
-        partials = []
-        for x in terms.tolist() if terms.ndim == 1 else terms:
-            y = x - comp
-            t = total + y
-            comp, total = (t - total) - y, t
-            partials.append(t)
-        partials = np.array(partials)  # the list goes before the block is read
-        yield terms, partials
+    rest = x
+    rest *= 2.0**52
+    limbs = np.empty((least, *x.shape), np.int64)
+    for j, limb in enumerate(limbs):
+        if j:
+            rest *= 2.0**55
+        np.rint(rest, out=limb, casting="unsafe")
+        rest -= limb
+    more = []
+    while rest.any():
+        rest *= 2.0**55
+        more.append(np.rint(rest))
+        rest -= more[-1]
+    return np.concatenate([limbs, np.array(more, np.int64)]) if more else limbs
+
+
+def _normalize(limbs: np.ndarray) -> None:
+    """Carry each limb past the head into about [0, 2**55) by shifts, in place.
+
+    limbs stack along axis 0 as _SHIFTS lays them out.  One pass leaves
+    each limb within 2**8 of that range, so int64 sums of up to 2**7 of
+    them cannot overflow; the value stays exact.
+    """
+    high = limbs[1:] >> 55
+    limbs[1:] &= (1 << 55) - 1
+    limbs[:-1] += high
+
+
+def _cumsum(a: np.ndarray) -> None:
+    """Inclusive prefix sums of an int64 array along axis 0, in place.
+
+    np.cumsum runs one loop per column, which costs most on short, wide
+    arrays, such as lockstep blocks; those take a doubling scan instead,
+    log2(rows) whole-array adds.  Both are exact while no sum overflows.
+    """
+    if 8 * len(a) > a[0].size:
+        np.cumsum(a, axis=0, out=a)
+        return
+    step = 1
+    while step < len(a):
+        a[step:] += a[:-step]
+        step *= 2
+
+
+class _Sums:
+    """The exact prefix sums of a walk block, M - start along axis 0.
+
+    Columns hold the real parts of the block's walks, then their imaginary
+    parts.  Rows come in sub-blocks of equal length.  Row r of sub-block s
+    in column c sums, exactly, to heads[j, s, c] * 2**-_SHIFTS[j] over j
+    (the sum before the sub-block) plus limbs[j, s, r, c] *
+    2**-_SHIFTS[j + 1] over j (the sum within it, through row r).
+    """
+
+    def __init__(self, heads: np.ndarray, limbs: np.ndarray, size: int, start: int):
+        self.heads, self.limbs, self.size, self.start = heads, limbs, size, start
+        self.walks = limbs.shape[-1] // 2
+
+    def approx(self) -> tuple[np.ndarray, np.ndarray]:
+        """The real and imaginary prefix sums in float, each of shape (size, walks).
+
+        A row with M terms of its walk before it has a head of magnitude at
+        most M, whose float lies within 2**-52 * (M + 22) of it.  Within the
+        sub-block, the first limb adds at most 256, rounded within 2**-45,
+        and the later limbs add at most 2**-45, left out.  With the final
+        rounding and the one of the correctly rounded sum, this lies within
+        2**-51 * (M + 2) + 2**-43 of the correctly rounded sum.
+        """
+        head = self.heads[0] * 8.0 + self.heads[1] * 2.0**-52 + self.heads[2] * 2.0**-107
+        v = self.limbs[0] * 2.0**-52
+        v += head[:, None]
+        v = v.reshape(-1, v.shape[-1])[:self.size]
+        return v[:, :self.walks], v[:, self.walks:]
+
+    def rounded(self, i: int, c: int = 0) -> tuple[float, float]:
+        """Row i of walk c, its real and imaginary parts rounded correctly."""
+        s, r = divmod(i, self.limbs.shape[2])
+        return self._rounded(s, r, c), self._rounded(s, r, self.walks + c)
+
+    def partials(self, c: int = 0) -> Iterator[complex]:
+        """Walk c's prefix sums in order, rounded correctly a sub-block at a time as they are read."""
+        for s in range(self.limbs.shape[1]):
+            z = np.empty(self.limbs.shape[2], np.complex128)
+            z.real = self._rounded(s, slice(None), c)
+            z.imag = self._rounded(s, slice(None), self.walks + c)
+            yield from z.tolist()
+
+    def _rounded(self, s: int, rows: int | slice, col: int):
+        """Rows of sub-block s in column col, each rounded once from its exact integer.
+
+        Python's int true division rounds correctly, so each is the fsum of
+        the terms it sums.
+        """
+        unit = _SHIFTS[len(self.heads) - 1]
+        lifts = [unit - shift for shift in _SHIFTS[:len(self.heads)]]
+        exact = sum(map(operator.lshift, self.heads[:, s, col].tolist(), lifts))
+        for limb, lift in zip(self.limbs[:, s, rows, col].astype(object), lifts[1:]):
+            exact = exact + (limb << lift)  # Python ints, elementwise
+        return exact / (1 << unit)
+
+
+def _prefix_sums(x: np.ndarray, carry: np.ndarray, start: int) -> tuple[_Sums, np.ndarray]:
+    """The exact prefix sums of x's columns after carry, and the carry past x.
+
+    x is overwritten.  carry stacks the limbs of one exact value per
+    column, as _normalize leaves them.  x's rows are cut into sub-blocks of
+    at most _SUB_TERMS, the last one padded with zeros, and the limbs are
+    summed through each row of a sub-block, where no int64 sum can
+    overflow.  Each sub-block's head is the carry plus the totals of the
+    sub-blocks before it.  A fixed number of numpy calls, whatever the
+    shape.
+    """
+    size, width = x.shape
+    sub = min(size, _SUB_TERMS)
+    pad = -size % sub
+    if pad:
+        x = np.concatenate([x, np.zeros((pad, width))])
+    limbs = _split(x, len(carry) - 1)
+    limbs = limbs.reshape(len(limbs), -1, sub, width)
+    for limb in limbs:  # one at a time, so that a doubling scan's copies stay small
+        _cumsum(limb.swapaxes(0, 1))
+    totals = np.concatenate([np.zeros((1, limbs.shape[1], width), np.int64), limbs[:, :, -1]])
+    _normalize(totals)
+    if len(carry) < len(totals):
+        carry = np.concatenate([carry, np.zeros((len(totals) - len(carry), width), np.int64)])
+    bases = np.concatenate([carry[:, None], totals], axis=1)
+    _cumsum(bases.swapaxes(0, 1))
+    _normalize(bases)
+    return _Sums(bases[:, :-1], limbs, size, start), bases[:, -1]
+
+
+def _summed(blocks: Iterable[np.ndarray]) -> Iterator[_Sums]:
+    """The exact prefix sums of each block of terms in [-1, 1], which it overwrites.
+
+    The package's one prefix sum.  A block of terms has shape (k, 2) for
+    one walk or (k, 2, walks) for walks run in lockstep: M along axis 0,
+    then the real and the imaginary part.  Exact totals carry across
+    blocks, so every prefix sum, rounded, is the fsum of the terms up to it.
+    """
+    carry, start = None, 0
+
+    def summed(terms: np.ndarray) -> _Sums:
+        nonlocal carry, start
+        x = terms.reshape(len(terms), -1)
+        if carry is None:
+            carry = np.zeros((3, x.shape[1]), np.int64)
+        sums, carry = _prefix_sums(x, carry, start)
+        start += len(x)
+        return sums
+
+    # map holds no block once it is handed on
+    return map(summed, blocks)
+
+
+def _terms(phases: np.ndarray) -> np.ndarray:
+    """cos(phase) and sin(phase) along a new axis 1, as _summed lays terms out.
+
+    np.cos and np.sin keep the bits of math.cos and math.sin.
+    """
+    terms = np.empty((len(phases), 2, *phases.shape[1:]))
+    np.cos(phases, out=terms[:, 0])
+    np.sin(phases, out=terms[:, 1])
+    return terms
+
+
+def _walk(blocks: Iterable[np.ndarray]) -> Iterator[_Sums]:
+    """The prefix sums of the walk whose terms are exp(i * phase), block by block of phases."""
+    return _summed(map(_terms, blocks))
 
 
 def _uint64_residues(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
@@ -310,8 +472,8 @@ def _uint64_residues(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]
     Square-and-multiply in uint64, so order n costs O(log n) array steps.
     Every factor is reduced below l <= 2**32, so no product reaches 2**64.
     """
-    l = np.array(ls, dtype=np.uint64)[:, None]
-    r = np.array(ts, dtype=np.uint64)[:, None]
+    l = np.asarray(ls, dtype=np.uint64)[:, None]
+    r = np.asarray(ts, dtype=np.uint64)[:, None]
     base = np.array(ms, dtype=np.uint64) % l
     while True:
         if n & 1:
@@ -329,8 +491,11 @@ def _uint64_phases(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) 
     (m**n * 2t) mod 2l = 2r, and 2r and l convert to float exactly, so the
     one rounding is the division.
     """
-    l = np.array(ls, dtype=np.float64)[:, None]
-    return math.pi * ((2 * _uint64_residues(ts, ls, n, ms)).astype(np.float64) / l)
+    phases = _uint64_residues(ts, ls, n, ms).astype(np.float64)
+    phases *= 2.0  # exact, as 2r < 2**33
+    phases /= np.asarray(ls, dtype=np.float64)[:, None]
+    phases *= math.pi
+    return phases
 
 
 def _bigint_phases(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
@@ -346,13 +511,18 @@ def _phase_path(l: int) -> Callable[..., np.ndarray]:
 def _lockstep_phases(N: int, ls: Sequence[int], n: int, ms: range) -> Iterator[np.ndarray]:
     """The phases of _residue_phases for walks over ms in lockstep, one column per l.
 
-    Each block holds the next BLOCK_TERMS // len(ls) values of m, or one,
+    Each block holds the next _WALK_TERMS // len(ls) values of m, or one,
     along axis 0, as _walk reads them.  Each column is formed on its l's
     kernel path, from N mod l formed once per walk.
     """
-    runs = [(phases, list(run)) for phases, run in groupby(ls, _phase_path)]
-    runs = [(phases, [N % l for l in run], run) for phases, run in runs]
-    columns = max(1, BLOCK_TERMS // len(ls))
+    runs = []
+    for phases, run in groupby(ls, _phase_path):
+        run = list(run)
+        ts = [N % l for l in run]
+        if phases is _uint64_phases:  # as arrays once per walk, not once per block
+            ts, run = np.array(ts, np.uint64), np.array(run, np.uint64)
+        runs.append((phases, ts, run))
+    columns = max(1, _WALK_TERMS // len(ls))
     for start in count(0, columns):
         part = ms[start:start + columns]
         if not part:
@@ -508,33 +678,44 @@ def residue_magnitudes(l: int, n: int, M: int) -> np.ndarray:
 
     Entry t equals truncated_sum(N, l, n, M).magnitude for any N with
     N mod l = t.  Useful for exhaustive factor-characterization sweeps;
-    vectorized over int64, so l is capped at 10**9.
+    vectorized over int64, so l is capped at 10**9.  Every phase is
+    pi * (k / l) for some k < 2l, so cos and sin are taken of those 2l
+    phases once and gathered by k.
     """
     _check_trial(l)
     _check_order(n)
     ms = FullTruncation(M).terms(l)
     if l > 10**9:
         raise ValueError(f"residue sweep over l={l} would overflow int64 products")
-    # the kernel forms pow(m, n, 2l) * 2t < 4 * l**2 <= 4e18 < 2**63
-    t = np.arange(l, dtype=np.int64)
+    # k = pow(m, n, 2l) * 2t mod 2l, with pow(m, n, 2l) * 2t < 4 * l**2 <= 4e18 < 2**63
+    t2 = 2 * np.arange(l, dtype=np.int64)
+    phases = math.pi * (np.arange(2 * l) / l)
+    cos, sin = np.cos(phases), np.sin(phases)
     acc_re = np.zeros(l)
     acc_im = np.zeros(l)
-    for ph in _phases(2 * t, l, n, ms):
-        acc_re += np.cos(ph)
-        acc_im += np.sin(ph)
+    for m in ms:
+        k = pow(m, n, 2 * l) * t2 % (2 * l)
+        acc_re += cos[k]
+        acc_im += sin[k]
     return np.hypot(acc_re, acc_im) / len(ms)
 
 
-def _curlicue_walk(eps: float, n: int, ms: Iterable[int]) -> Iterator[tuple[complex, complex]]:
+def _curlicue_walk(eps: float, n: int, ms: Sequence[int]) -> Iterator[tuple[complex, complex]]:
     """(term, partial sum) of the curlicue walk over ms, one m at a time.
 
-    eps and n are checked on the call.
+    Each partial sum is rounded correctly when it is read.  eps and n are
+    checked on the call.
     """
-    blocks = _walk(_curlicue_phases(eps, n, ms))
-    return chain.from_iterable(zip(t.tolist(), s.tolist()) for t, s in blocks)
+    def pairs(terms: np.ndarray, sums: _Sums) -> Iterator[tuple[complex, complex]]:
+        terms, partials = terms.view(np.complex128)[:, 0], sums.partials()
+        for start in range(0, len(terms), _SUB_TERMS):
+            yield from zip(terms[start:start + _SUB_TERMS].tolist(), partials)
+
+    terms, copies = tee(map(_terms, _curlicue_phases(eps, n, ms)))
+    return chain.from_iterable(map(pairs, terms, _summed(t.copy() for t in copies)))
 
 
 def iter_curlicue_magnitudes(eps: float, n: int) -> Iterator[tuple[int, float]]:
     """Yield (M, |s_M|) for M = 0, 1, 2, ... without re-summing."""
-    walk = enumerate(_curlicue_walk(eps, n, count()))
+    walk = enumerate(_curlicue_walk(eps, n, range(2**64)))
     return ((m, math.hypot(s.real, s.imag) / (m + 1)) for m, (_, s) in walk)

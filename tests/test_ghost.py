@@ -36,21 +36,12 @@ N17 = 32193216510801043
 
 
 def walk_alone_first_crossing(N: int, ls, n: int, threshold: float, cap: int) -> int | None:
-    """The per-walk search: each l's Kahan walk on its own, math.hypot at the bar."""
+    """The per-walk search: each l's walk on its own, fsum of every prefix, math.hypot at the bar."""
     walks = []
     for l in ls:
-        terms = [(math.cos(ph), math.sin(ph)) for ph in sums._residue_phases(N, l, n, range(cap + 1))]
-        re = im = re_c = im_c = 0.0
-        walk = []
-        for c, s in terms:
-            y = c - re_c
-            t = re + y
-            re_c, re = (t - re) - y, t
-            y = s - im_c
-            t = im + y
-            im_c, im = (t - im) - y, t
-            walk.append((re, im))
-        walks.append(walk)
+        phases = list(sums._residue_phases(N, l, n, range(cap + 1)))
+        re, im = [math.cos(ph) for ph in phases], [math.sin(ph) for ph in phases]
+        walks.append([(math.fsum(re[:M + 1]), math.fsum(im[:M + 1])) for M in range(cap + 1)])
     for M in range(cap + 1):
         if all(math.hypot(*w[M]) / (M + 1) <= threshold + GHOST_SLACK for w in walks):
             return M
@@ -194,10 +185,10 @@ class TestBarDecision:
         return t
 
     @staticmethod
-    def blocks(partials: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    def blocks(partials: list) -> list:
         """One block of a walk with these partial sums, as sums._walk yields it."""
-        sums_ = np.array(partials)
-        return [(np.diff(sums_, axis=0, prepend=0), sums_)]
+        terms = np.diff(np.array(partials), axis=0, prepend=0)
+        return list(sums._summed([np.stack([terms.real, terms.imag], axis=1)]))
 
     def test_math_hypot_decides_at_the_bar(self):
         re, im = self.hypot_split()
@@ -217,6 +208,20 @@ class TestBarDecision:
         walk = [[1 + 1j, 1 + 1j], [0j, complex(2 * re, 2 * im)]]
         want = 1 if by_math <= threshold + GHOST_SLACK else None
         assert ghost._first_suppressed(self.blocks(walk), threshold) == want
+
+    def test_exact_sum_decides_inside_the_error_bound(self):
+        # 1/2 + (2**-54 + 2**-106) rounds up to 1/2 + 2**-53, but the float
+        # approximation leaves out the limb below 2**-52 and reads 1/2; a
+        # bar at 1/4 puts |s_1| above it and the approximation on it
+        walk = list(sums._summed([np.array([[0.5, 0.0], [2.0**-54 + 2.0**-106, 0.0]])]))
+        (block,) = walk
+        approx = block.approx()[0][1, 0]
+        exact = block.rounded(1)[0]
+        assert (approx, exact) == (0.5, 0.5 + 2.0**-53)
+        assert abs(approx - exact) <= 2.0**-51 * (1 + 2) + 2.0**-43
+        threshold = self.threshold_for(0.25)
+        assert approx / 2 <= threshold + GHOST_SLACK < exact / 2
+        assert ghost._first_suppressed(walk, threshold) is None
 
 
 class TestScanWindow:

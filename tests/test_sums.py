@@ -6,7 +6,7 @@ import re
 import statistics
 import time
 import timeit
-from itertools import count, islice
+from itertools import islice
 from math import fsum
 
 import numpy as np
@@ -489,23 +489,18 @@ def blocked_curlicue_phases(eps: float, n: int, ms) -> list[str]:
     return hexes(np.concatenate(list(sums._curlicue_phases(eps, n, ms))).tolist())
 
 
-def lockstep_partials(N: int, ls, n: int, ms) -> np.ndarray:
-    """The lockstep walks' partial sums, one row per M and one column per l."""
-    blocks = sums._walk(sums._lockstep_phases(N, ls, n, ms))
-    return np.concatenate([s for _, s in blocks])
+def lockstep_partials(N: int, ls, n: int, ms) -> list[list[tuple[float, float]]]:
+    """The lockstep walks' correctly rounded partial sums, one list per l."""
+    rows = []
+    for block in sums._walk(sums._lockstep_phases(N, ls, n, ms)):
+        rows += [[block.rounded(i, c) for c in range(len(ls))] for i in range(block.size)]
+    return [list(walk) for walk in zip(*rows)]
 
 
-def kahan(terms) -> list[float]:
-    """Kahan partial sums of one walk, written out apart from the package."""
-    total = comp = 0.0
-    sums_ = []
-    for x in terms:
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        sums_.append(t)
-    return sums_
+def fsum_prefixes(terms) -> list[float]:
+    """fsum of every prefix of terms, written out apart from the package."""
+    terms = list(terms)
+    return [fsum(terms[:M + 1]) for M in range(len(terms))]
 
 
 # edges of the error-free product: subnormal and tiny eps, the 2**-960
@@ -571,10 +566,13 @@ class TestBlockedWalks:
             assert blocked_curlicue_phases(eps, 4, ms) == reference_curlicue_phases(eps, 4, ms)
 
     def test_walk_blocks_hold_walk_terms(self):
-        sizes = [len(b) for b in islice(sums._curlicue_phases(1e-12, 2, count()), 3)]
-        assert sizes == [sums._WALK_TERMS] * 3 and sums._WALK_TERMS <= sums.BLOCK_TERMS
-        ms = range(2 * sums._WALK_TERMS + 1)
-        assert [len(b) for b in sums._curlicue_phases(1e-12, 2, ms)] == [sums._WALK_TERMS] * 2 + [1]
+        # the first block holds 32 terms, and each next one twice as many
+        # up to _WALK_TERMS
+        sizes = [len(b) for b in islice(sums._curlicue_phases(1e-12, 2, range(2**64)), 10)]
+        assert sizes == [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 8192]
+        assert sums._WALK_TERMS == 8192 <= sums.BLOCK_TERMS
+        ms = range(32 + 64 + 1)
+        assert [len(b) for b in sums._curlicue_phases(1e-12, 2, ms)] == [32, 64, 1]
 
     def test_numpy_trig_matches_math_on_curlicue_phases(self):
         # walks take np.cos and np.sin where the per-term walk took
@@ -593,52 +591,156 @@ class TestBlockedWalks:
     def test_lockstep_sums_match_each_walk_alone(self, lo):
         N, n, ms = 32193216510801043, 3, range(300)
         ls = [l for l in range(lo, lo + 40) if N % l]
-        walks = lockstep_partials(N, ls, n, ms).T
-        for l, row_re, row_im in zip(ls, walks.real.tolist(), walks.imag.tolist()):
+        for l, walk in zip(ls, lockstep_partials(N, ls, n, ms)):
             ph = list(sums._residue_phases(N, l, n, ms))
-            assert hexes(row_re) == hexes(kahan(map(math.cos, ph)))
-            assert hexes(row_im) == hexes(kahan(map(math.sin, ph)))
+            assert hexes(re for re, _ in walk) == hexes(fsum_prefixes(map(math.cos, ph)))
+            assert hexes(im for _, im in walk) == hexes(fsum_prefixes(map(math.sin, ph)))
 
     def test_lockstep_blocks_hold_at_most_block_terms(self):
         ls = range(1299000, 1300400)
         shapes = [b.shape for b in sums._lockstep_phases(N12, ls, 2, range(100))]
-        assert shapes == [(11, 1400)] * 9 + [(1, 1400)]
-        assert 1400 * 11 <= sums.BLOCK_TERMS
-        blocks = list(sums._walk(sums._lockstep_phases(N12, ls, 2, range(100))))
-        assert [(t.shape, s.shape) for t, s in blocks] == [(b, b) for b in shapes]
+        assert shapes == [(5, 1400)] * 20
+        assert 1400 * 5 <= sums._WALK_TERMS < 1400 * 6
+        blocks = sums._walk(sums._lockstep_phases(N12, ls, 2, range(100)))
+        assert [(b.size, b.walks) for b in blocks] == shapes
 
     def test_one_walk_streams_python_complex_terms(self):
         ms = range(3000)
-        blocks = list(sums._walk(sums._curlicue_phases(4e-5, 2, ms)))
-        assert [(t.shape, s.shape) for t, s in blocks] == [((3000,), (3000,))]
-        terms, walk = (np.concatenate(part).tolist() for part in zip(*blocks))
-        assert len(terms) == 3000 and all(type(z) is complex for z in terms)
+        walk = list(sums._curlicue_walk(4e-5, 2, ms))
+        assert len(walk) == 3000
+        assert all(type(z) is complex and type(s) is complex for z, s in walk)
         p, q = (4e-5).as_integer_ratio()
         phases = [curlicue_phase(m, 2, p, q) for m in ms]
-        assert hexes(z.real for z in terms) == hexes(map(math.cos, phases))
-        assert hexes(z.imag for z in terms) == hexes(map(math.sin, phases))
-        assert hexes(z.real for z in walk) == hexes(kahan(map(math.cos, phases)))
-        assert hexes(z.imag for z in walk) == hexes(kahan(map(math.sin, phases)))
+        assert hexes(z.real for z, _ in walk) == hexes(map(math.cos, phases))
+        assert hexes(z.imag for z, _ in walk) == hexes(map(math.sin, phases))
+        assert hexes(s.real for _, s in walk) == hexes(fsum_prefixes(map(math.cos, phases)))
+        assert hexes(s.imag for _, s in walk) == hexes(fsum_prefixes(map(math.sin, phases)))
 
     @pytest.mark.parametrize("walk", ["one", "lockstep"])
-    def test_kahan_state_carries_across_blocks(self, monkeypatch, walk):
+    def test_exact_sums_carry_across_blocks(self, monkeypatch, walk):
         # blocks of 7 terms, and lockstep blocks of 2 rows, must sum as one
-        # block does: the recurrence carries its total and its compensation
+        # block does, to fsum of the terms: the exact totals carry from
+        # block to block
+        N, ls, ms = 32193216510801043, [BOUND - 7, BOUND - 1, BOUND + 3], range(300)
+
         def partials():
             if walk == "one":
-                phases = sums._curlicue_phases(4e-5, 2, range(300))
-            else:  # three walks, on both sides of 2**32
-                ls = [BOUND - 7, BOUND - 1, BOUND + 3]
-                phases = sums._lockstep_phases(32193216510801043, ls, 3, range(300))
-            return np.concatenate([s for _, s in sums._walk(phases)])
+                return [[(s.real, s.imag)] for _, s in sums._curlicue_walk(4e-5, 2, ms)]
+            # three walks, on both sides of 2**32
+            phases = sums._lockstep_phases(N, ls, 3, ms)
+            return [[b.rounded(i, c) for c in range(3)] for b in sums._walk(phases)
+                    for i in range(b.size)]
 
         whole = partials()
         monkeypatch.setattr(sums, "_WALK_TERMS", 7)
         monkeypatch.setattr(sums, "BLOCK_TERMS", 7)
         blocked = partials()
-        assert whole.shape == blocked.shape == ((300,) if walk == "one" else (300, 3))
-        for want, got in ((whole.real, blocked.real), (whole.imag, blocked.imag)):
-            assert hexes(got.ravel().tolist()) == hexes(want.ravel().tolist())
+        assert len(whole) == len(blocked) == 300
+        assert whole == blocked
+        if walk == "one":
+            p, q = (4e-5).as_integer_ratio()
+            columns = [[curlicue_phase(m, 2, p, q) for m in ms]]
+        else:
+            columns = [list(sums._residue_phases(N, l, 3, ms)) for l in ls]
+        for c, phases in enumerate(columns):
+            assert hexes(row[c][0] for row in blocked) == hexes(fsum_prefixes(map(math.cos, phases)))
+            assert hexes(row[c][1] for row in blocked) == hexes(fsum_prefixes(map(math.sin, phases)))
+
+
+def fsum_at(terms: np.ndarray, M: int) -> tuple[str, str]:
+    """fsum of the real and the imaginary parts of terms[:M + 1], by float.hex."""
+    return fsum(terms[:M + 1].real.tolist()).hex(), fsum(terms[:M + 1].imag.tolist()).hex()
+
+
+def walk_values(blocks, M: int, c: int = 0) -> tuple[str, str]:
+    """Row M of walk c through _Block.rounded, by float.hex."""
+    for block in blocks:
+        if M < block.size:
+            return tuple(x.hex() for x in block.rounded(M, c))
+        M -= block.size
+    raise IndexError(M)
+
+
+# l on both sides of 2**32, where the phases change kernel path
+LOCKSTEP_LS = [BOUND - 7, BOUND - 1, BOUND + 3]
+
+
+class TestExactPrefixSums:
+    """Each walk value is fsum of the terms before it, whatever the blocks."""
+
+    @given(
+        eps=st.one_of(st.floats(-1.0, 1.0), st.sampled_from(EDGE_EPSILONS)),
+        n=st.integers(2, 6),
+        Ms=st.lists(st.integers(0, 2999), min_size=1, max_size=5),
+        blocked=st.booleans(),
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_one_walk_equals_fsum(self, eps, n, Ms, blocked):
+        # 3000 terms cross the 256-term sub-blocks and the growing blocks;
+        # the blocked case cuts every block and sub-block down to 7 terms
+        with pytest.MonkeyPatch.context() as mp:
+            if blocked:
+                mp.setattr(sums, "_WALK_TERMS", 7)
+                mp.setattr(sums, "_SUB_TERMS", 7)
+            ms = range(3000)
+            walk = list(sums._curlicue_walk(eps, n, ms))
+            blocks = list(sums._walk(sums._curlicue_phases(eps, n, ms)))
+        p, q = eps.as_integer_ratio()
+        phases = [curlicue_phase(m, n, p, q) for m in ms]
+        terms = np.array([complex(math.cos(ph), math.sin(ph)) for ph in phases])
+        for M in Ms:
+            want = fsum_at(terms, M)
+            assert (walk[M][1].real.hex(), walk[M][1].imag.hex()) == want
+            assert walk_values(blocks, M) == want
+
+    @given(
+        n=st.integers(2, 5),
+        Ms=st.lists(st.integers(0, 599), min_size=1, max_size=5),
+        blocked=st.booleans(),
+    )
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    def test_lockstep_rows_equal_fsum(self, n, Ms, blocked):
+        N, ms = 32193216510801043, range(600)
+        with pytest.MonkeyPatch.context() as mp:
+            if blocked:
+                mp.setattr(sums, "BLOCK_TERMS", 7)
+                mp.setattr(sums, "_SUB_TERMS", 7)
+            blocks = list(sums._walk(sums._lockstep_phases(N, LOCKSTEP_LS, n, ms)))
+        for c, l in enumerate(LOCKSTEP_LS):
+            phases = list(sums._residue_phases(N, l, n, ms))
+            terms = np.array([complex(math.cos(ph), math.sin(ph)) for ph in phases])
+            for M in Ms:
+                assert walk_values(blocks, M, c) == fsum_at(terms, M)
+
+    def test_subnormal_epsilon_takes_the_tiny_term_limbs(self):
+        # sin of pi * m**2 * 5e-324 is subnormal: below 2**-55, so its
+        # limbs run past 2**-107
+        ms = range(1000)
+        blocks = list(sums._walk(sums._curlicue_phases(5e-324, 2, ms)))
+        assert all(len(b.limbs) > 2 for b in blocks)
+        walk = list(sums._curlicue_walk(5e-324, 2, ms))
+        p, q = (5e-324).as_integer_ratio()
+        phases = [curlicue_phase(m, 2, p, q) for m in ms]
+        terms = np.array([complex(math.cos(ph), math.sin(ph)) for ph in phases])
+        assert 0 < abs(terms[1].imag) < 2.0**-55
+        for M in (0, 1, 2, 255, 256, 999):
+            assert (walk[M][1].real.hex(), walk[M][1].imag.hex()) == fsum_at(terms, M)
+            assert walk_values(blocks, M) == fsum_at(terms, M)
+
+    def test_lockstep_column_with_a_tiny_term(self):
+        # at l = 2**61 - 1 and N = 2**61 the phase of m = 1 is 2*pi / l,
+        # whose sine is below 2**-55 and has bits below 2**-107; the column
+        # beside it stays ordinary
+        N, ls, ms = 2**61, [1299711, 2**61 - 1], range(40)
+        blocks = list(sums._walk(sums._lockstep_phases(N, ls, 2, ms)))
+        assert len(blocks[0].limbs) > 2
+        for c, l in enumerate(ls):
+            phases = list(sums._residue_phases(N, l, 2, ms))
+            terms = np.array([complex(math.cos(ph), math.sin(ph)) for ph in phases])
+            if c == 1:
+                assert 0 < abs(terms[1].imag) < 2.0**-55
+            for M in range(len(ms)):
+                assert walk_values(blocks, M, c) == fsum_at(terms, M)
 
 
 class TestSpecAndValue:
