@@ -257,8 +257,8 @@ def _curlicue_phases(eps: float, n: int, ms: Sequence[int]) -> Iterator[np.ndarr
     conditions hold and _phases in exact ints where they do not: m outside
     [0, 2**63), m**n at or past 2**53, |eps| outside [2**-960, 1], or an
     ambiguous rounding.  The first block holds _FIRST_TERMS terms, and each
-    next one twice as many up to _WALK_TERMS.  A block of a range inside [0, 2**63) is formed by
-    np.arange.  eps and n are checked on the call.
+    next one twice as many up to _WALK_TERMS.  A block of a range inside
+    [0, 2**63) is formed by np.arange.  eps and n are checked on the call.
     """
     if not math.isfinite(eps):
         raise ValueError(f"epsilon must be finite, got {eps}")
@@ -375,12 +375,11 @@ class _Sums:
         s, r = divmod(i, self.limbs.shape[2])
         return self._rounded(s, r, c), self._rounded(s, r, self.walks + c)
 
-    def partials(self, c: int = 0) -> Iterator[complex]:
-        """Walk c's prefix sums in order, rounded correctly a sub-block at a time as they are read."""
+    def partials(self) -> Iterator[complex]:
+        """A one-walk block's prefix sums in order, rounded a sub-block at a time, when read."""
         for s in range(self.limbs.shape[1]):
             z = np.empty(self.limbs.shape[2], np.complex128)
-            z.real = self._rounded(s, slice(None), c)
-            z.imag = self._rounded(s, slice(None), self.walks + c)
+            z.real, z.imag = self._rounded(s, slice(None), 0), self._rounded(s, slice(None), 1)
             yield from z.tolist()
 
     def _rounded(self, s: int, rows: int | slice, col: int):

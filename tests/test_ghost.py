@@ -36,7 +36,7 @@ N17 = 32193216510801043
 
 
 def walk_alone_first_crossing(N: int, ls, n: int, threshold: float, cap: int) -> int | None:
-    """The per-walk search: each l's walk on its own, fsum of every prefix, math.hypot at the bar."""
+    """The per-walk search: each l's walk alone, fsum of every prefix, math.hypot at the bar."""
     walks = []
     for l in ls:
         phases = list(sums._residue_phases(N, l, n, range(cap + 1)))

@@ -642,9 +642,9 @@ class TestBlockedWalks:
             columns = [[curlicue_phase(m, 2, p, q) for m in ms]]
         else:
             columns = [list(sums._residue_phases(N, l, 3, ms)) for l in ls]
-        for c, phases in enumerate(columns):
-            assert hexes(row[c][0] for row in blocked) == hexes(fsum_prefixes(map(math.cos, phases)))
-            assert hexes(row[c][1] for row in blocked) == hexes(fsum_prefixes(map(math.sin, phases)))
+        for c, ph in enumerate(columns):
+            assert hexes(row[c][0] for row in blocked) == hexes(fsum_prefixes(map(math.cos, ph)))
+            assert hexes(row[c][1] for row in blocked) == hexes(fsum_prefixes(map(math.sin, ph)))
 
 
 def fsum_at(terms: np.ndarray, M: int) -> tuple[str, str]:
@@ -703,7 +703,7 @@ class TestExactPrefixSums:
         N, ms = 32193216510801043, range(600)
         with pytest.MonkeyPatch.context() as mp:
             if blocked:
-                mp.setattr(sums, "BLOCK_TERMS", 7)
+                mp.setattr(sums, "_WALK_TERMS", 7)
                 mp.setattr(sums, "_SUB_TERMS", 7)
             blocks = list(sums._walk(sums._lockstep_phases(N, LOCKSTEP_LS, n, ms)))
         for c, l in enumerate(LOCKSTEP_LS):
