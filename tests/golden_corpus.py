@@ -88,6 +88,16 @@ CASES: dict[str, list[str]] = {
     "scaling-17-above-bound": [
         "scaling", "--case", f"{N17}:4294967290:4294967300", "--m-cap", "50",
     ],
+    # one-shot rows read through walk blocks: 200,001 terms at order 5 span
+    # 25 blocks, and at l = 2**61 - 1 on the exact-int path the sin terms
+    # fall below 2**-55, where the sum takes extra limbs
+    "classify-17-order5-200000": [
+        "classify", "--n", N17, "--l", "179424673", "--order", "5", "--truncation", "200000",
+    ],
+    "classify-61-tiny-terms": [
+        "classify", "--n", "2305843009213693952", "--l", "2305843009213693951",
+        "--truncation", "20000",
+    ],
 }
 
 
