@@ -18,7 +18,6 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, groupby, islice, tee
-from math import fsum
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -48,10 +47,8 @@ __all__ = [
 # A complete pulse train has l pulses, so Complete.terms refuses l above this;
 # the closed form takes any l.
 COMPLETE_SUM_CAP = 10**7
-# The batched kernel evaluates at most this many (l, m) terms at a time, so
-# its arrays stay near a megabyte however wide the window or long the row.
-BLOCK_TERMS = 1 << 14
-# Walks, which keep more arrays per term, take at most this many at a time.
+# A walk block holds at most this many (l, m) terms, so its arrays stay
+# near a megabyte however wide the window or long the walk.
 _WALK_TERMS = 1 << 13
 # A curlicue walk's first block, small so that its first values come early.
 _FIRST_TERMS = 1 << 5
@@ -375,23 +372,28 @@ class _Sums:
         s, r = divmod(i, self.limbs.shape[2])
         return self._rounded(s, r, c), self._rounded(s, r, self.walks + c)
 
+    def last(self) -> tuple[list[float], list[float]]:
+        """The last row's real and imaginary parts, one per walk, each rounded correctly."""
+        s, r = divmod(self.size - 1, self.limbs.shape[2])
+        row = self._rounded(s, r, slice(None)).tolist()
+        return row[:self.walks], row[self.walks:]
+
     def partials(self) -> Iterator[complex]:
         """A one-walk block's prefix sums in order, rounded a sub-block at a time, when read."""
         for s in range(self.limbs.shape[1]):
-            z = np.empty(self.limbs.shape[2], np.complex128)
-            z.real, z.imag = self._rounded(s, slice(None), 0), self._rounded(s, slice(None), 1)
-            yield from z.tolist()
+            parts = self._rounded(s, slice(None), slice(None)).astype(np.float64)
+            yield from parts.view(np.complex128)[:, 0].tolist()
 
-    def _rounded(self, s: int, rows: int | slice, col: int):
-        """Rows of sub-block s in column col, each rounded once from its exact integer.
+    def _rounded(self, s: int, rows: int | slice, cols: int | slice):
+        """Rows of sub-block s in columns cols, each rounded once from its exact integer.
 
         Python's int true division rounds correctly, so each is the fsum of
         the terms it sums.
         """
         unit = _SHIFTS[len(self.heads) - 1]
         lifts = [unit - shift for shift in _SHIFTS[:len(self.heads)]]
-        exact = sum(map(operator.lshift, self.heads[:, s, col].tolist(), lifts))
-        for limb, lift in zip(self.limbs[:, s, rows, col].astype(object), lifts[1:]):
+        exact = sum(map(operator.lshift, self.heads[:, s, cols].astype(object), lifts))
+        for limb, lift in zip(self.limbs[:, s, rows, cols].astype(object), lifts[1:]):
             exact = exact + (limb << lift)  # Python ints, elementwise
         return exact / (1 << unit)
 
@@ -429,7 +431,8 @@ def _prefix_sums(x: np.ndarray, carry: np.ndarray, start: int) -> tuple[_Sums, n
 def _summed(blocks: Iterable[np.ndarray]) -> Iterator[_Sums]:
     """The exact prefix sums of each block of terms in [-1, 1], which it overwrites.
 
-    The package's one prefix sum.  A block of terms has shape (k, 2) for
+    The package's one sum: a one-shot sum is the last of its prefix sums.
+    A block of terms has shape (k, 2) for
     one walk or (k, 2, walks) for walks run in lockstep: M along axis 0,
     then the real and the imaginary part.  Exact totals carry across
     blocks, so every prefix sum, rounded, is the fsum of the terms up to it.
@@ -463,6 +466,17 @@ def _terms(phases: np.ndarray) -> np.ndarray:
 def _walk(blocks: Iterable[np.ndarray]) -> Iterator[_Sums]:
     """The prefix sums of the walk whose terms are exp(i * phase), block by block of phases."""
     return _summed(map(_terms, blocks))
+
+
+def _walk_totals(blocks: Iterable[np.ndarray]) -> tuple[list[float], list[float]]:
+    """The real and imaginary sums of each walk's terms, rounded correctly.
+
+    The walk is drained a block at a time: the loop holds one block while
+    the next is formed, where unpacking it as *_, last would hold them all.
+    """
+    for sums in _walk(blocks):
+        pass
+    return sums.last()
 
 
 def _uint64_residues(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
@@ -507,7 +521,7 @@ def _phase_path(l: int) -> Callable[..., np.ndarray]:
     return _uint64_phases if l < _UINT64_BOUND else _bigint_phases
 
 
-def _lockstep_phases(N: int, ls: Sequence[int], n: int, ms: range) -> Iterator[np.ndarray]:
+def _lockstep_phases(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> Iterator[np.ndarray]:
     """The phases of _residue_phases for walks over ms in lockstep, one column per l.
 
     Each block holds the next _WALK_TERMS // len(ls) values of m, or one,
@@ -534,37 +548,20 @@ def _residue_means(
 ) -> Iterator[SumValue]:
     """The mean of exp(2*pi*i * m**n * N / l) over ms for each l in ls, in order.
 
-    The one kernel behind every one-shot residue sum.  It evaluates blocks
-    of at most BLOCK_TERMS terms: whole rows of consecutive l, or, for a row
-    longer than that, the row in pieces along m.  np.cos and np.sin take the
-    phases, and each row is summed by fsum per component, which rounds
-    correctly; a long row's pieces reach fsum lazily, its phases formed once
-    per component.  N, n and the smallest l are checked first.
+    The one kernel behind every one-shot residue sum: each sum is the last
+    prefix of a walk over ms.  Runs of _WALK_TERMS // len(ms) consecutive l,
+    or one, walk in lockstep.  N, n and the smallest l are checked first.
     """
     _check_order(n)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if ls:
         _check_trial(min(ls))
-    count = len(ms)
-    pieces = [ms[j:j + BLOCK_TERMS] for j in range(0, count, BLOCK_TERMS)]
-    rows = max(1, BLOCK_TERMS // count)
-    for phases, run in groupby(ls, _phase_path):
-        for block in iter(lambda: list(islice(run, rows)), []):
-            ts = [N % l for l in block]
-            if len(pieces) == 1:
-                ph = phases(ts, block, n, ms)
-                for re, im in zip(np.cos(ph).tolist(), np.sin(ph).tolist()):
-                    yield SumValue(fsum(re) / count, fsum(im) / count, count)
-                continue
-            # one l, its row fed to fsum piece by piece, once per component
-            re, im = (
-                fsum(chain.from_iterable(
-                    trig(phases(ts, block, n, part))[0].tolist() for part in pieces
-                ))
-                for trig in (np.cos, np.sin)
-            )
-            yield SumValue(re / count, im / count, count)
+    size, ls = len(ms), iter(ls)
+    rows = max(1, _WALK_TERMS // size)
+    for run in iter(lambda: list(islice(ls, rows)), []):
+        for re, im in zip(*_walk_totals(_lockstep_phases(N, run, n, ms))):
+            yield SumValue(re / size, im / size, size)
 
 
 def _complete_mean(t: int, l: int) -> tuple[float, float]:
@@ -623,9 +620,8 @@ def curlicue_phase(m: int, n: int, p: int, q: int) -> float:
 def curlicue(eps: float, n: int, M: int) -> SumValue:
     """Normalized curlicue sum: mean of exp(i*pi*m**n*eps) for m = 0..M."""
     ms = FullTruncation(M).terms(0)  # m = 0..M for any l
-    ph = np.concatenate(list(_curlicue_phases(eps, n, ms)))
-    size = len(ms)
-    return SumValue(fsum(np.cos(ph).tolist()) / size, fsum(np.sin(ph).tolist()) / size, size)
+    (re,), (im,) = _walk_totals(_curlicue_phases(eps, n, ms))
+    return SumValue(re / len(ms), im / len(ms), len(ms))
 
 
 def randomized_sum(

@@ -64,7 +64,7 @@ CASES: dict[str, list[str]] = {
     ],
     "classify-15-4": ["classify", "--n", "15", "--l", "4", "--truncation", "3"],
     # edges of the batched residue kernel: a window of 200 l at 201 terms
-    # spans three blocks, l = 2**32 - 1 and 2**32 sit on either side of its
+    # spans five blocks, l = 2**32 - 1 and 2**32 sit on either side of its
     # uint64 bound, m_max = 2**64 - 1 is the largest m a draw can hold, and
     # order 1000003 needs square-and-multiply
     "scan-12-blocks": ["scan", "--n", N12, "--window", "1299601:1299800", "--truncation", "200"],

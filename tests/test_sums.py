@@ -6,6 +6,7 @@ import re
 import statistics
 import time
 import timeit
+import weakref
 from itertools import islice
 from math import fsum
 
@@ -412,11 +413,36 @@ class TestBatchedKernel:
         assert [bits(v) for v in got] == [bits(scalar_mean(N12, l, 3, ms)) for l in ls]
 
     def test_long_rows_are_split_along_m(self):
-        M = 2 * sums.BLOCK_TERMS + 5
-        for l in (1299711, BOUND + 3):
-            got = list(sums._residue_means(N12, [l, l + 2], 2, range(M + 1)))
-            want = [scalar_mean(N12, x, 2, range(M + 1)) for x in (l, l + 2)]
+        # at l = 2**61 - 1 and N = 2**61 the exact-int path gives sin terms
+        # below 2**-55, which the sum takes in extra limbs
+        M = 2 * sums._WALK_TERMS + 5
+        for N, l in ((N12, 1299711), (N12, BOUND + 3), (2**61, 2**61 - 1)):
+            got = list(sums._residue_means(N, [l, l + 2], 2, range(M + 1)))
+            want = [scalar_mean(N, x, 2, range(M + 1)) for x in (l, l + 2)]
             assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    def test_one_shot_sums_drain_the_walk_a_block_at_a_time(self, monkeypatch):
+        # a row read as the last prefix of its walk keeps the block being
+        # summed and the one before it alive, never the whole walk
+        refs = []
+        alive = []
+
+        def spy(blocks, real=sums._summed):
+            for block in real(blocks):
+                refs.append(weakref.ref(block))
+                alive.append(sum(ref() is not None for ref in refs))
+                yield block
+                del block
+
+        monkeypatch.setattr(sums, "_summed", spy)
+        M = 3 * sums._WALK_TERMS
+        got = next(sums._residue_means(N12, [1299711], 2, range(M + 1)))
+        assert bits(got) == bits(scalar_mean(N12, 1299711, 2, range(M + 1)))
+        assert len(refs) >= 3 and max(alive) <= 2
+        refs.clear()
+        alive.clear()
+        curlicue(1e-12, 2, M)
+        assert len(refs) >= 3 and max(alive) <= 2
 
     def test_blocks_hold_at_most_block_terms(self, monkeypatch):
         sizes = []
@@ -428,8 +454,8 @@ class TestBatchedKernel:
             monkeypatch.setattr(sums, name, spy)
         for l in (1299711, BOUND + 3):
             list(sums._residue_means(N12, range(l, l + 2000), 2, range(20)))
-            next(sums._residue_means(N12, [l], 2, range(2 * sums.BLOCK_TERMS + 6)))
-        assert sizes and max(sizes) <= sums.BLOCK_TERMS
+            next(sums._residue_means(N12, [l], 2, range(2 * sums._WALK_TERMS + 6)))
+        assert sizes and max(sizes) <= sums._WALK_TERMS
 
     def test_order_near_a_million_costs_log_n_steps(self):
         # square-and-multiply takes about 40 array steps here; a loop of
@@ -456,7 +482,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("width", ["block", "block + 1"])
     def test_windows_at_the_block_width_match_per_l_classify(self, width):
         spec = SumSpec(FullTruncation(19))
-        rows = sums.BLOCK_TERMS // 20 + (width == "block + 1")
+        rows = sums._WALK_TERMS // 20 + (width == "block + 1")
         lo = 1299709 - rows // 2
         got = scan_window(N12, lo, lo + rows - 1, spec)
         want = [classify(N12, l, spec) for l in range(lo, lo + rows)]
@@ -570,7 +596,7 @@ class TestBlockedWalks:
         # up to _WALK_TERMS
         sizes = [len(b) for b in islice(sums._curlicue_phases(1e-12, 2, range(2**64)), 10)]
         assert sizes == [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 8192]
-        assert sums._WALK_TERMS == 8192 <= sums.BLOCK_TERMS
+        assert sums._WALK_TERMS == 8192
         ms = range(32 + 64 + 1)
         assert [len(b) for b in sums._curlicue_phases(1e-12, 2, ms)] == [32, 64, 1]
 
@@ -633,7 +659,6 @@ class TestBlockedWalks:
 
         whole = partials()
         monkeypatch.setattr(sums, "_WALK_TERMS", 7)
-        monkeypatch.setattr(sums, "BLOCK_TERMS", 7)
         blocked = partials()
         assert len(whole) == len(blocked) == 300
         assert whole == blocked
