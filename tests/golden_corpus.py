@@ -98,6 +98,27 @@ CASES: dict[str, list[str]] = {
         "classify", "--n", "2305843009213693952", "--l", "2305843009213693951",
         "--truncation", "20000",
     ],
+    # every kind of cell the emitters write, in both formats: this window
+    # holds all four classes (threshold rows at 1299676 and 1299754, ghosts
+    # from 1299677, both factors), a seeded scan has a non-null seed cell, a
+    # subnormal eps a null required_M, and figure 2 and scaling mix text,
+    # integer and float columns
+    "scan-12-four-classes": [
+        "scan", "--n", N12, "--window", "1299670:1299760", "--truncation", "19",
+    ],
+    "scan-12-four-classes-json": [
+        "scan", "--n", N12, "--window", "1299670:1299760", "--truncation", "19",
+        "--format", "json",
+    ],
+    "scan-12-random10-json": [
+        "scan", "--n", N12, "--count", "10", "--m-max", "1000", "--seed", "0",
+        "--format", "json",
+    ],
+    "suppression-subnormal-json": [
+        "suppression", "--epsilon", "5e-324", "--m-cap", "1000", "--format", "json",
+    ],
+    "figure-2-json": ["reproduce-figure", "2", "--format", "json"],
+    "scaling-10403-json": ["scaling", "--case", "10403:2:101", "--format", "json"],
 }
 
 
