@@ -16,7 +16,9 @@ import sys
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Iterator, Sequence
+from itertools import chain, compress, count, filterfalse, repeat
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterator, Sequence
 
 from . import ghost, spinsim
 from .numtheory import _check_order, epsilon
@@ -53,48 +55,97 @@ class ResultRow:
     term_count: int
 
 
-def _fmt_real(x: float) -> str:
-    """Shortest decimal that round-trips; integral values print as integers."""
-    if x == int(x):
-        return str(int(x))
-    return repr(x)
+# the text of a column of cells of one type
+Formatter = Callable[[Sequence[Any]], list[str]]
+# rows formatted at a time, so that their cells' text stays small beside the table
+_EMIT_ROWS = 256
 
 
-def _fmt_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_real(value)
-    return str(value)
+def _csv_reals(xs: Sequence[float]) -> list[str]:
+    """Shortest decimals that round-trip; integral values print as integers."""
+    texts = list(map(repr, xs))
+    for k in compress(count(), map(float.is_integer, xs)):
+        texts[k] = str(int(xs[k]))
+    for x in filterfalse(math.isfinite, xs):
+        int(x)  # nan and the infinities have no integer to compare: raise as int() does
+    return texts
+
+
+def _csv_format(kind: type) -> Formatter:
+    if kind is type(None):
+        return lambda xs: [""] * len(xs)
+    if kind is bool:
+        return lambda xs: ["true" if x else "false" for x in xs]
+    return _csv_reals if issubclass(kind, float) else lambda xs: list(map(str, xs))
+
+
+def _json_reals(xs: Sequence[float]) -> list[str]:
+    """Floats as json.dumps writes them, with its spellings of nan and the infinities."""
+    texts = list(map(float.__repr__, xs))
+    if all(map(math.isfinite, xs)):
+        return texts
+    return [{"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(t, t) for t in texts]
+
+
+def _json_format(kind: type) -> Formatter:
+    """How json.dumps writes values of this type, or its TypeError."""
+    if issubclass(kind, str):
+        return lambda xs: list(map(encode_basestring_ascii, xs))
+    if kind is type(None):
+        return lambda xs: ["null"] * len(xs)
+    if kind is bool:
+        return lambda xs: ["true" if x else "false" for x in xs]
+    if issubclass(kind, int):
+        return lambda xs: list(map(int.__repr__, xs))
+    if issubclass(kind, float):
+        return _json_reals
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _column_blocks(
+    rows: Sequence[Sequence[Any]], choose: Callable[[type], Formatter]
+) -> Iterator[list[list[str]]]:
+    """The text of each column of rows, _EMIT_ROWS rows at a time.
+
+    Rows are all as wide as the header, and at least one wide.  In each
+    block a column's formatter is chosen once, by the type of its cells; a
+    column that mixes types, such as required_M's integers and nulls, takes
+    one per type.
+    """
+    if not rows:
+        raise ValidationError("refusing to emit an empty table")
+    for start in range(0, len(rows), _EMIT_ROWS):
+        columns = []
+        for column in zip(*rows[start:start + _EMIT_ROWS]):
+            formats = {kind: choose(kind) for kind in set(map(type, column))}
+            if len(formats) == 1:
+                (write,) = formats.values()
+                columns.append(write(column))
+            else:
+                columns.append([formats[type(x)]((x,))[0] for x in column])
+        yield columns
 
 
 def emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     """CSV text with LF endings; reals in shortest round-trip form."""
-    if not rows:
-        raise ValidationError("refusing to emit an empty table")
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    blocks = _column_blocks(rows, _csv_format)
+    try:
+        body = "\n".join("\n".join(map(",".join, zip(*columns))) for columns in blocks)
+    except (OverflowError, ValueError):
+        # fail on the first unwritable cell in row order, as a row writer would
+        for x in chain.from_iterable(rows):
+            _csv_format(type(x))((x,))
+        raise
+    return ",".join(header) + "\n" + body + "\n"
 
 
 def emit_json(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    if not rows:
-        raise ValidationError("refusing to emit an empty table")
-    objs = [dict(zip(header, row)) for row in rows]
-    return json.dumps(objs, indent=2) + "\n"
-
-
-def _result_cells(trial: ghost.ClassifiedTrial) -> list[Any]:
-    # trial-factor sized integers stay strings in JSON so consumers that
-    # read numbers as doubles cannot corrupt them
-    seed = getattr(trial.spec.strategy, "seed", None)
-    return [
-        str(trial.l), trial.eps.value, trial.value.magnitude,
-        trial.trial_class.value, seed, trial.value.term_count,
-    ]
+    """The text of json.dumps(objects, indent=2) + "\n", one object per row."""
+    keys = [encode_basestring_ascii(key).replace("%", "%%") for key in header]
+    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+    blocks = _column_blocks(rows, _json_format)
+    body = ",\n".join(",\n".join(map(template.__mod__, zip(*columns))) for columns in blocks)
+    return "[\n" + body + "\n]\n"
 
 
 def parse_result_csv(text: str) -> list[ResultRow]:
@@ -302,11 +353,25 @@ def _per_trial(N: int, lo: int, hi: int, cells: Iterator[list[Any]]) -> list[lis
     return rows
 
 
-def _classified_rows(N: int, lo: int, hi: int, spec: SumSpec) -> list[list[Any]]:
-    return _per_trial(N, lo, hi, map(_result_cells, ghost.iter_scan_window(N, lo, hi, spec)))
+def _classified_rows(N: int, lo: int, hi: int, spec: SumSpec) -> list[tuple[Any, ...]]:
+    """A result row per l in [lo, hi], from the rule's columns; a domain violation names N and l."""
+    # trial-factor sized integers stay strings in JSON so consumers that
+    # read numbers as doubles cannot corrupt them
+    seed = getattr(spec.strategy, "seed", None)
+    rows: list[tuple[Any, ...]] = []
+    try:
+        for block in ghost._classified_blocks(N, range(lo, hi + 1), spec):
+            names = [cls.value for cls in block.classes]
+            rows += zip(
+                map(str, block.ls), block.eps, block.magnitudes, names, repeat(seed),
+                block.term_counts,
+            )
+    except ValueError as exc:
+        raise DomainError(f"{exc} (N={N}, l={lo + len(rows)})") from exc
+    return rows
 
 
-def _run_scan(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+def _run_scan(args: argparse.Namespace) -> tuple[list[str], list[tuple[Any, ...]]]:
     """scan over --window, or classify over the one-l window of --l."""
     n_value, (lo, hi) = _trials(args)
     return RESULT_HEADER, _classified_rows(n_value, lo, hi, _flag_spec(args))
@@ -433,7 +498,7 @@ def _figure_2(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
     return header, rows
 
 
-def _figure_3(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+def _figure_3(cfg: dict[str, Any]) -> tuple[list[str], list[tuple[Any, ...]]]:
     n_value = _parse_natural(cfg["N"], "N")
     lo, hi = _config_window(cfg["window"])
     upper, middle, lower = cfg["upper"], cfg["middle"], cfg["lower"]
@@ -446,14 +511,14 @@ def _figure_3(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
         "lower": _sum_spec(_CONFIG_NAMES, lower["order"], lower["truncation"]),
     }
     rows = [
-        [name] + cells
+        (name, *cells)
         for name, spec in traces.items()
         for cells in _classified_rows(n_value, lo, hi, spec)
     ]
     return ["trace"] + RESULT_HEADER, rows
 
 
-def _figure_4(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+def _figure_4(cfg: dict[str, Any]) -> tuple[list[str], list[tuple[Any, ...]]]:
     n_value = _parse_natural(cfg["N"], "N")
     lo, hi = _config_window(cfg["window"])
     spec = _sum_spec(

@@ -12,20 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import hypot, sqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .numtheory import Epsilon, _check_order, epsilon, is_factor
 from .sums import (
+    _MAX_MAGNITUDE,
     Randomized,
     SumSpec,
     SumValue,
     _curlicue_phases,
     _lockstep_phases,
+    _mean_columns,
     _walk,
-    evaluate,
-    evaluate_many,
 )
 
 __all__ = [
@@ -94,6 +94,52 @@ class ClassifiedTrial:
     spec: SumSpec
 
 
+class _Rows(NamedTuple):
+    """A block of consecutive trial factors with their sums and verdicts, as columns."""
+
+    ls: list[int]
+    real_parts: list[float]
+    imag_parts: list[float]
+    term_counts: list[int]
+    eps: list[float]
+    magnitudes: list[float]
+    classes: list[TrialClass]
+
+
+def _classified_blocks(
+    N: int, ls: Iterable[int], spec: SumSpec, threshold: float = GHOST_THRESHOLD
+) -> Iterator[_Rows]:
+    """The one classification rule, applied a block of trial factors at a time.
+
+    Factor status is decided by exact division, t = N mod l being 0, never
+    by the float magnitude.  eps is 2t/l, less 2 when 2t > l, in one int
+    true division: Epsilon.value's bits.  Each magnitude is math.hypot of
+    the normalized sum, SumValue.magnitude's bits, formed once; it then
+    separates ghosts (above threshold + GHOST_SLACK), threshold cases
+    (within THRESHOLD_BAND of threshold) and typical non-factors.  Every
+    magnitude is checked as SumValue checks it: the rows before the first
+    that fails come as a shorter block, and SumValue's error is raised next.
+    """
+    bar = threshold + GHOST_SLACK
+    for ls, re, im, counts in _mean_columns(N, ls, spec):
+        ts = [N % l for l in ls]
+        eps = [(2 * t if 2 * t <= l else 2 * t - 2 * l) / l for t, l in zip(ts, ls)]
+        magnitudes = list(map(hypot, re, im))
+        classes = [
+            TrialClass.FACTOR if not t
+            else TrialClass.GHOST_FACTOR if m > bar
+            else TrialClass.THRESHOLD_NON_FACTOR if abs(m - threshold) <= THRESHOLD_BAND
+            else TrialClass.TYPICAL_NON_FACTOR
+            for t, m in zip(ts, magnitudes)
+        ]
+        rows = _Rows(ls, re, im, counts, eps, magnitudes, classes)
+        bad = next((k for k, m in enumerate(magnitudes) if m > _MAX_MAGNITUDE), None)
+        if bad is not None:
+            yield _Rows(*(column[:bad] for column in rows))
+            SumValue(re[bad], im[bad], counts[bad])  # raises SumValue's error
+        yield rows
+
+
 def classify(N: int, l: int, spec: SumSpec) -> ClassifiedTrial:
     """Classify trial factor l of N under the given sum.
 
@@ -103,22 +149,7 @@ def classify(N: int, l: int, spec: SumSpec) -> ClassifiedTrial:
     """
     if l < 2:
         raise ValueError(f"trial factors start at 2, got {l}")
-    return _classified(N, l, evaluate(N, l, spec), spec)
-
-
-def _classified(N: int, l: int, value: SumValue, spec: SumSpec) -> ClassifiedTrial:
-    """The one classification rule, applied to l's sum value."""
-    eps = epsilon(N, l)
-    magnitude = value.magnitude
-    if eps.is_zero:
-        cls = TrialClass.FACTOR
-    elif magnitude > GHOST_THRESHOLD + GHOST_SLACK:
-        cls = TrialClass.GHOST_FACTOR
-    elif abs(magnitude - GHOST_THRESHOLD) <= THRESHOLD_BAND:
-        cls = TrialClass.THRESHOLD_NON_FACTOR
-    else:
-        cls = TrialClass.TYPICAL_NON_FACTOR
-    return ClassifiedTrial(l, eps, value, cls, spec)
+    return next(iter_scan_window(N, l, l, spec))
 
 
 def _first_suppressed(walk: Iterable, threshold: float) -> int | None:
@@ -193,9 +224,13 @@ def iter_scan_window(
     """
     if not 2 <= l_min <= l_max:
         raise ValueError(f"invalid window [{l_min}, {l_max}]")
-    ls = range(l_min, l_max + 1)
-    values = evaluate_many(N, ls, spec)
-    return (_classified(N, l, value, spec) for l, value in zip(ls, values))
+    return (
+        ClassifiedTrial(l, epsilon(N, l), SumValue(re, im, count), cls, spec)
+        for rows in _classified_blocks(N, range(l_min, l_max + 1), spec)
+        for l, re, im, count, cls in zip(
+            rows.ls, rows.real_parts, rows.imag_parts, rows.term_counts, rows.classes
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -267,16 +302,12 @@ def randomized_success_fraction(
     """
     if not 2 <= l_min <= l_max:
         raise ValueError(f"invalid window [{l_min}, {l_max}]")
-    nonfactors = [l for l in range(l_min, l_max + 1) if not is_factor(N, l)]
     seed_list = list(seeds)
     if not seed_list:
         raise ValueError("need at least one seed")
-    if not nonfactors:
-        return 1.0
-    bar = threshold + GHOST_SLACK
     successes = 0
     for seed in seed_list:
-        values = evaluate_many(N, nonfactors, SumSpec(Randomized(count, m_max, seed), n))
-        if not any(value.magnitude > bar for value in values):
-            successes += 1
+        spec = SumSpec(Randomized(count, m_max, seed), n)
+        blocks = _classified_blocks(N, range(l_min, l_max + 1), spec, threshold)
+        successes += not any(TrialClass.GHOST_FACTOR in rows.classes for rows in blocks)
     return successes / len(seed_list)

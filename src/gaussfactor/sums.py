@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, groupby, islice, tee
+from itertools import chain, count, groupby, tee
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -65,6 +65,8 @@ _TWO_PRODUCT_FLOOR = 2.0 ** -960
 # so int64 sums over _SUB_TERMS rows cannot overflow.
 _SHIFTS = tuple(55 * j - 3 for j in range(21))
 _SUB_TERMS = 256
+# A mean of unit terms may pass 1 by rounding, never by this much.
+_MAX_MAGNITUDE = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ class SumValue:
     def __post_init__(self) -> None:
         if self.term_count < 1:
             raise ValueError("term_count must be >= 1")
-        if self.magnitude > 1.0 + 1e-9:
+        if self.magnitude > _MAX_MAGNITUDE:
             raise ValueError(
                 f"normalized magnitude {self.magnitude} exceeds 1; "
                 "sum was not divided by its term count"
@@ -484,10 +486,15 @@ def _uint64_residues(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]
 
     Square-and-multiply in uint64, so order n costs O(log n) array steps.
     Every factor is reduced below l <= 2**32, so no product reaches 2**64.
+    A range of m is formed by np.arange, a drawn m-set by np.array.
     """
     l = np.asarray(ls, dtype=np.uint64)[:, None]
     r = np.asarray(ts, dtype=np.uint64)[:, None]
-    base = np.array(ms, dtype=np.uint64) % l
+    if isinstance(ms, range):
+        m = np.arange(ms.start, ms.stop, ms.step, dtype=np.uint64)
+    else:
+        m = np.array(ms, dtype=np.uint64)
+    base = m % l
     while True:
         if n & 1:
             r = r * base % l
@@ -543,25 +550,26 @@ def _lockstep_phases(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> It
         yield np.concatenate([phases(ts, run, n, part) for phases, ts, run in runs]).T
 
 
-def _residue_means(
-    N: int, ls: Sequence[int], n: int, ms: Sequence[int]
-) -> Iterator[SumValue]:
-    """The mean of exp(2*pi*i * m**n * N / l) over ms for each l in ls, in order.
+def _residue_sums(
+    N: int, ls: Iterable[int], n: int, ms: Sequence[int]
+) -> Iterator[tuple[list[int], list[float], list[float]]]:
+    """The sums of exp(2*pi*i * m**n * N / l) over ms for each l in ls, as columns.
 
     The one kernel behind every one-shot residue sum: each sum is the last
     prefix of a walk over ms.  Runs of _WALK_TERMS // len(ms) consecutive l,
-    or one, walk in lockstep.  N, n and the smallest l are checked first.
+    or one, walk in lockstep, and each run yields (its l, their real sums,
+    their imaginary sums).  N, n and the smallest l are checked first.
     """
     _check_order(n)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
+    ls = list(ls)
     if ls:
         _check_trial(min(ls))
-    size, ls = len(ms), iter(ls)
-    rows = max(1, _WALK_TERMS // size)
-    for run in iter(lambda: list(islice(ls, rows)), []):
-        for re, im in zip(*_walk_totals(_lockstep_phases(N, run, n, ms))):
-            yield SumValue(re / size, im / size, size)
+    step = max(1, _WALK_TERMS // len(ms))
+    for start in range(0, len(ls), step):
+        run = ls[start:start + step]
+        yield (run, *_walk_totals(_lockstep_phases(N, run, n, ms)))
 
 
 def _complete_mean(t: int, l: int) -> tuple[float, float]:
@@ -600,9 +608,15 @@ def complete_gauss_sum(N: int, l: int) -> SumValue:
     return SumValue(*_complete_mean(N % l, l), l)
 
 
+def _one_shot(N: int, l: int, n: int, ms: Sequence[int]) -> SumValue:
+    """The mean of exp(2*pi*i * m**n * N / l) over ms, through the batched kernel."""
+    ((_, (re,), (im,)),) = _residue_sums(N, (l,), n, ms)
+    return SumValue(re / len(ms), im / len(ms), len(ms))
+
+
 def truncated_sum(N: int, l: int, n: int, M: int) -> SumValue:
     """Order-n exponential sum truncated at M: mean over m = 0..M."""
-    return next(_residue_means(N, (l,), n, FullTruncation(M).terms(l)))
+    return _one_shot(N, l, n, FullTruncation(M).terms(l))
 
 
 def curlicue_phase(m: int, n: int, p: int, q: int) -> float:
@@ -632,7 +646,7 @@ def randomized_sum(
     Identical (seed, count, m_max) give an identical m-set and hence a
     bit-identical result.
     """
-    return next(_residue_means(N, (l,), n, Randomized(count, m_max, seed).terms(l)))
+    return _one_shot(N, l, n, Randomized(count, m_max, seed).terms(l))
 
 
 def curlicue_equivalence_check(N: int, l: int, n: int, M: int) -> bool:
@@ -657,15 +671,39 @@ def evaluate(N: int, l: int, spec: SumSpec) -> SumValue:
     return next(evaluate_many(N, (l,), spec))
 
 
-def evaluate_many(N: int, ls: Sequence[int], spec: SumSpec) -> Iterator[SumValue]:
-    """evaluate(N, l, spec) for each l in ls, in order, block by block.
+def _mean_columns(
+    N: int, ls: Iterable[int], spec: SumSpec
+) -> Iterator[tuple[list[int], list[float], list[float], list[int]]]:
+    """evaluate_many's sums as columns, a run of l at a time.
 
-    The complete sum is a closed form per l; every other strategy averages
-    one m-set over every l, through the batched kernel.
+    Each run yields (its l, the real and the imaginary parts of their
+    normalized sums, their term counts): the fields of a SumValue, with the
+    same bits.  The complete sum is a closed form per l; every other
+    strategy averages one m-set over every l, through the batched kernel.
     """
-    if isinstance(spec.strategy, Complete):
-        return (complete_gauss_sum(N, l) for l in ls)
-    return _residue_means(N, ls, spec.order, spec.strategy.terms(0))
+    if not isinstance(spec.strategy, Complete):
+        ms = spec.strategy.terms(0)
+        size = len(ms)
+        for run, re, im in _residue_sums(N, ls, spec.order, ms):
+            yield run, [x / size for x in re], [y / size for y in im], [size] * len(run)
+        return
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    ls = list(ls)
+    for start in range(0, len(ls), _WALK_TERMS):
+        run = ls[start:start + _WALK_TERMS]
+        _check_trial(min(run))
+        re, im = zip(*[_complete_mean(N % l, l) for l in run])
+        yield run, list(re), list(im), run
+
+
+def evaluate_many(N: int, ls: Iterable[int], spec: SumSpec) -> Iterator[SumValue]:
+    """evaluate(N, l, spec) for each l in ls, in order, block by block."""
+    return (
+        SumValue(re, im, count)
+        for _, res, ims, counts in _mean_columns(N, ls, spec)
+        for re, im, count in zip(res, ims, counts)
+    )
 
 
 def residue_magnitudes(l: int, n: int, M: int) -> np.ndarray:

@@ -1,13 +1,17 @@
 """Command-line behavior: schemas, formats, exit codes, determinism."""
 import json
 import math
-import weakref
 from importlib import resources
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import csv_by_rows, json_by_dumps
 
 import gaussfactor.cli as cli
+import gaussfactor.ghost as ghost
+import gaussfactor.numtheory as numtheory
 import gaussfactor.sums as sums
 from gaussfactor import iter_curlicue_magnitudes
 from gaussfactor.cli import (
@@ -63,7 +67,58 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# each kind of cell a command writes, and floats whose text is special
+CELL_KINDS = [
+    st.text(),
+    st.integers(-(2**64) + 1, 2**64 - 1),
+    st.none(),
+    st.booleans(),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 1e16, 1.0, math.inf, -math.inf, math.nan]),
+    st.floats(),
+]
+
+
+@st.composite
+def tables(draw):
+    """A header of distinct names and rows as wide as it, as the commands write them.
+
+    A column holds one kind of cell, as most command columns do, or any
+    kinds, as required_M holds integers and nulls.
+    """
+    header = draw(st.lists(st.text(), min_size=1, max_size=5, unique=True))
+    columns = [draw(st.sampled_from([*CELL_KINDS, st.one_of(CELL_KINDS)])) for _ in header]
+    return header, draw(st.lists(st.tuples(*columns), max_size=6))
+
+
+def outcome(emit, header, rows):
+    """emit's text, or the type of the exception it raised."""
+    try:
+        return emit(header, rows)
+    except Exception as exc:
+        return type(exc)
+
+
 class TestSerialization:
+    @given(tables())
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    def test_emitters_match_the_row_writers(self, table):
+        header, rows = table
+        assert outcome(emit_csv, header, rows) == outcome(csv_by_rows, header, rows)
+        assert outcome(emit_json, header, rows) == outcome(json_by_dumps, header, rows)
+
+    def test_emitters_match_the_row_writers_across_row_blocks(self):
+        # text is formed a block of rows at a time: a float column, and one
+        # whose cells turn from integers to nulls in the last block
+        n = 2 * cli._EMIT_ROWS + 3
+        rows = [(k / 7, k if k < n - 2 else None, str(k)) for k in range(n)]
+        header = ["x", "required_M", "l"]
+        assert emit_csv(header, rows) == csv_by_rows(header, rows)
+        assert emit_json(header, rows) == json_by_dumps(header, rows)
+        # inf in a later column of an earlier row than nan's: inf fails first
+        rows[-2:] = [(0.5, math.inf, "a"), (math.nan, 1, "b")]
+        assert outcome(emit_csv, header, rows) == outcome(csv_by_rows, header, rows)
+        assert outcome(emit_csv, header, rows) is OverflowError
+
     def test_reals_round_trip_and_integers_stay_integers(self):
         text = emit_csv(["a", "b", "c"], [[0.5, 1.0, None]])
         assert text == "a,b,c\n0.5,1,\n"
@@ -176,20 +231,21 @@ class TestScan:
         assert out == ""
         assert "(N=10, l=51)" in err
 
-    def test_scan_holds_one_classified_trial_at_a_time(self, capsys, monkeypatch):
-        # each trial becomes its row cells and is dropped before the next
-        refs, alive = [], []
-        cells = cli._result_cells
+    def test_scan_builds_no_per_row_objects(self, capsys, monkeypatch):
+        # rows go from the rule's columns to text: no trial, sum value or
+        # epsilon object is made for any of them
+        want = run(capsys, "scan", "--n", N12, "--truncation", "19")
 
-        def spy(trial):
-            refs.append(weakref.ref(trial))
-            alive.append(sum(ref() is not None for ref in refs))
-            return cells(trial)
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was made")
 
-        monkeypatch.setattr(cli, "_result_cells", spy)
-        code, _, _ = run(capsys, "scan", "--n", N12, "--truncation", "19")
-        assert code == 0
-        assert alive == [1] * 33
+        for cls in (ghost.ClassifiedTrial, sums.SumValue, numtheory.Epsilon):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        for fmt in ("csv", "json"):
+            got = run(capsys, "scan", "--n", N12, "--truncation", "19", "--format", fmt)
+            assert got[0] == 0
+            if fmt == "csv":
+                assert got == want
 
     def test_byte_identical_reruns(self, capsys):
         argv = ("scan", "--n", N17, "--count", "10", "--m-max", "5000", "--seed", "3")

@@ -15,21 +15,25 @@ from gaussfactor import (
     TrialClass,
     classify,
     curlicue,
+    epsilon,
     min_suppression_M,
     randomized_success_fraction,
     scaling_study,
     scan_window,
     truncated_sum,
 )
+from gaussfactor.cli import main
 from gaussfactor.ghost import (
     GHOST_SLACK,
     GHOST_THRESHOLD,
+    THRESHOLD_BAND,
     N_SEVENTEEN_DIGIT,
     N_TWELVE_DIGIT,
     WINDOW_SEVENTEEN_DIGIT,
     WINDOW_TWELVE_DIGIT,
     iter_scan_window,
 )
+from gaussfactor.sums import evaluate_many
 
 FULL19 = SumSpec(FullTruncation(19))
 N17 = 32193216510801043
@@ -294,6 +298,97 @@ class TestScanWindow:
             scan_window(15, 5, 4, FULL19)
         with pytest.raises(ValueError):
             scan_window(15, 1, 4, FULL19)
+
+
+def rule_by_row(N: int, l: int, magnitude: float) -> TrialClass:
+    """The classification rule one trial at a time, as classify once applied it."""
+    if epsilon(N, l).is_zero:
+        return TrialClass.FACTOR
+    if magnitude > GHOST_THRESHOLD + GHOST_SLACK:
+        return TrialClass.GHOST_FACTOR
+    if abs(magnitude - GHOST_THRESHOLD) <= THRESHOLD_BAND:
+        return TrialClass.THRESHOLD_NON_FACTOR
+    return TrialClass.TYPICAL_NON_FACTOR
+
+
+def around(x: float) -> list[float]:
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, 2.0)]
+
+
+class TestBlockRule:
+    BAR = GHOST_THRESHOLD + GHOST_SLACK
+    # the ghost bar and the band's edges, each with one ulp either side, the
+    # threshold itself, and the ends of the range a magnitude may take
+    EDGES = [
+        *around(BAR),
+        *around(GHOST_THRESHOLD + THRESHOLD_BAND),
+        *around(GHOST_THRESHOLD - THRESHOLD_BAND),
+        GHOST_THRESHOLD, 0.0, 1.0, 1.0 + 1e-9,
+    ]
+
+    @staticmethod
+    def fake_sums(monkeypatch, blocks):
+        """Give the rule these (real parts, imaginary parts) blocks as its sums."""
+        def columns(N, ls, spec):
+            ls = iter(ls)
+            for re, im in blocks:
+                run = [next(ls) for _ in re]
+                yield run, re, im, [20] * len(run)
+
+        monkeypatch.setattr(ghost, "_mean_columns", columns)
+
+    def test_edges_classify_as_the_row_rule_does(self, monkeypatch):
+        # hypot(m, 0) is m, so each row's magnitude is exactly its edge; no
+        # l of this window divides N
+        self.fake_sums(monkeypatch, [([m], [0.0]) for m in self.EDGES])
+        ls = range(1299730, 1299730 + len(self.EDGES))
+        blocks = list(ghost._classified_blocks(N_TWELVE_DIGIT, ls, FULL19))
+        got = [(rows.magnitudes[0], rows.classes[0]) for rows in blocks]
+        assert got == [(m, rule_by_row(N_TWELVE_DIGIT, l, m)) for l, m in zip(ls, self.EDGES)]
+        # the bar itself is no ghost, one ulp past it is
+        assert [cls for _, cls in got[:3]] == [
+            TrialClass.THRESHOLD_NON_FACTOR, TrialClass.THRESHOLD_NON_FACTOR,
+            TrialClass.GHOST_FACTOR,
+        ]
+
+    def test_a_factor_is_decided_by_division_not_magnitude(self, monkeypatch):
+        self.fake_sums(monkeypatch, [([0.0, 0.0, 0.9], [0.0, 0.0, 0.0])])
+        (rows,) = ghost._classified_blocks(N_TWELVE_DIGIT, [1299709, 1299721, 1299711], FULL19)
+        assert rows.classes == [TrialClass.FACTOR, TrialClass.FACTOR, TrialClass.GHOST_FACTOR]
+        assert rows.eps[:2] == [0.0, 0.0]
+
+    def test_matches_the_row_rule_on_a_window_of_every_class(self):
+        ls = range(1299670, 1299761)
+        (rows,) = ghost._classified_blocks(N_TWELVE_DIGIT, ls, FULL19)
+        values = list(evaluate_many(N_TWELVE_DIGIT, ls, FULL19))
+        assert rows.classes == [
+            rule_by_row(N_TWELVE_DIGIT, l, v.magnitude) for l, v in zip(ls, values)
+        ]
+        assert set(rows.classes) == set(TrialClass)
+        assert [x.hex() for x in rows.magnitudes] == [v.magnitude.hex() for v in values]
+        assert [x.hex() for x in rows.eps] == [epsilon(N_TWELVE_DIGIT, l).value.hex() for l in ls]
+
+    def test_eps_is_one_int_division_on_both_sides_of_half(self):
+        # 2t below, at and above l, where 2t = l maps to +1; and a big-int l
+        for N, l in ((2, 7), (3, 7), (4, 7), (4, 8), (5, 8), (2**70 + 3, 2**61 - 1)):
+            (rows,) = ghost._classified_blocks(N, [l], FULL19)
+            assert rows.eps[0].hex() == epsilon(N, l).value.hex()
+
+    def test_a_magnitude_past_one_names_its_l_partway_through_a_block(self, monkeypatch, capsys):
+        # the second block's third row reads 1.5
+        first, second = [0.1] * 4, [0.2, 0.3, 1.5, 0.4]
+        self.fake_sums(monkeypatch, [(first, [0.0] * 4), (second, [0.0] * 4)])
+        lo = 1299690
+        trials = iter_scan_window(N_TWELVE_DIGIT, lo, lo + 7, FULL19)
+        assert [next(trials).l for _ in range(6)] == list(range(lo, lo + 6))
+        with pytest.raises(ValueError, match="normalized magnitude 1.5 exceeds 1"):
+            next(trials)
+        code = main(["scan", "--n", str(N_TWELVE_DIGIT), "--window", f"{lo}:{lo + 7}",
+                     "--truncation", "19"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: normalized magnitude 1.5 exceeds 1")
+        assert f"(N={N_TWELVE_DIGIT}, l={lo + 6})" in err
 
 
 class TestScalingStudy:

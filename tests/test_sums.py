@@ -354,6 +354,12 @@ def scalar_mean(N: int, l: int, n: int, ms) -> SumValue:
     return SumValue(fsum(map(math.cos, ph)) / count, fsum(map(math.sin, ph)) / count, count)
 
 
+def residue_means(N: int, ls, n: int, ms):
+    """The batched kernel's one-shot sums, normalized as evaluate_many normalizes them."""
+    for _, res, ims in sums._residue_sums(N, ls, n, ms):
+        yield from (SumValue(re / len(ms), im / len(ms), len(ms)) for re, im in zip(res, ims))
+
+
 def bits(value: SumValue) -> tuple[str, str, int]:
     # float.hex tells -0.0 from 0.0, which == does not
     return value.real_part.hex(), value.imag_part.hex(), value.term_count
@@ -376,7 +382,7 @@ class TestBatchedKernel:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_the_scalar_path_bit_for_bit(self, N, ls, n, ms):
-        values = list(sums._residue_means(N, ls, n, ms))
+        values = list(residue_means(N, ls, n, ms))
         assert [bits(v) for v in values] == [bits(scalar_mean(N, l, n, ms)) for l in ls]
         small = [l for l in ls if l < BOUND]
         if small:
@@ -402,14 +408,14 @@ class TestBatchedKernel:
             (range(40), 10**6 + 3),
         ]
         for ms, n in cases:
-            got = next(sums._residue_means(N12, (l,), n, ms))
+            got = next(residue_means(N12, (l,), n, ms))
             assert bits(got) == bits(scalar_mean(N12, l, n, ms)), (ms, n)
 
     def test_selection_depends_on_l_alone(self):
         # a run of l across the bound, in and out of order
         ls = [BOUND - 2, BOUND + 1, BOUND - 1, BOUND, 7, BOUND + 5]
         ms = range(30)
-        got = list(sums._residue_means(N12, ls, 3, ms))
+        got = list(residue_means(N12, ls, 3, ms))
         assert [bits(v) for v in got] == [bits(scalar_mean(N12, l, 3, ms)) for l in ls]
 
     def test_long_rows_are_split_along_m(self):
@@ -417,7 +423,7 @@ class TestBatchedKernel:
         # below 2**-55, which the sum takes in extra limbs
         M = 2 * sums._WALK_TERMS + 5
         for N, l in ((N12, 1299711), (N12, BOUND + 3), (2**61, 2**61 - 1)):
-            got = list(sums._residue_means(N, [l, l + 2], 2, range(M + 1)))
+            got = list(residue_means(N, [l, l + 2], 2, range(M + 1)))
             want = [scalar_mean(N, x, 2, range(M + 1)) for x in (l, l + 2)]
             assert [bits(v) for v in got] == [bits(v) for v in want]
 
@@ -436,7 +442,7 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(sums, "_summed", spy)
         M = 3 * sums._WALK_TERMS
-        got = next(sums._residue_means(N12, [1299711], 2, range(M + 1)))
+        got = next(residue_means(N12, [1299711], 2, range(M + 1)))
         assert bits(got) == bits(scalar_mean(N12, 1299711, 2, range(M + 1)))
         assert len(refs) >= 3 and max(alive) <= 2
         refs.clear()
@@ -453,8 +459,8 @@ class TestBatchedKernel:
 
             monkeypatch.setattr(sums, name, spy)
         for l in (1299711, BOUND + 3):
-            list(sums._residue_means(N12, range(l, l + 2000), 2, range(20)))
-            next(sums._residue_means(N12, [l], 2, range(2 * sums._WALK_TERMS + 6)))
+            list(residue_means(N12, range(l, l + 2000), 2, range(20)))
+            next(residue_means(N12, [l], 2, range(2 * sums._WALK_TERMS + 6)))
         assert sizes and max(sizes) <= sums._WALK_TERMS
 
     def test_order_near_a_million_costs_log_n_steps(self):
@@ -499,7 +505,7 @@ class TestBatchedKernel:
     )
     def test_checks_before_the_first_block(self, N, ls, n, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            next(sums._residue_means(N, ls, n, range(3)))
+            next(residue_means(N, ls, n, range(3)))
 
 
 def hexes(values) -> list[str]:
