@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, compress, count, filterfalse, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import ghost, spinsim
 from .numtheory import _check_order, epsilon
@@ -27,6 +27,7 @@ from .sums import (
     FullTruncation,
     Randomized,
     SumSpec,
+    _curlicue_magnitudes,
     _curlicue_walk,
 )
 
@@ -37,10 +38,6 @@ RESULT_HEADER = ["l", "epsilon", "magnitude", "class", "seed", "term_count"]
 
 class ValidationError(Exception):
     """Bad flags or config; maps to exit code 1."""
-
-
-class DomainError(Exception):
-    """Numeric domain violation from the computation; maps to exit code 3."""
 
 
 @dataclass(frozen=True)
@@ -173,6 +170,12 @@ def parse_result_csv(text: str) -> list[ResultRow]:
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports flag problems as ValidationError, not exit(2)."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it takes -1e-16 for a
+        # flag; any argument that starts "-<digit>" or "-.<digit>" is a value
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ValidationError(message)
@@ -342,33 +345,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _per_trial(N: int, lo: int, hi: int, cells: Iterator[list[Any]]) -> list[list[Any]]:
-    """The next row of cells for each l in [lo, hi]; a domain violation names N and l."""
-    rows = []
-    for l in range(lo, hi + 1):
-        try:
-            rows.append(next(cells))
-        except ValueError as exc:
-            raise DomainError(f"{exc} (N={N}, l={l})") from exc
+def _trial_rows(N: int, lo: int, blocks: Iterable[Iterable[Sequence[Any]]]) -> list[Sequence[Any]]:
+    """The rows of l = lo, lo + 1, ... from blocks of them; a domain violation names N and l."""
+    rows: list[Sequence[Any]] = []
+    try:
+        for block in blocks:
+            rows += block
+    except ValueError as exc:
+        raise ValueError(f"{exc} (N={N}, l={lo + len(rows)})") from exc
     return rows
 
 
-def _classified_rows(N: int, lo: int, hi: int, spec: SumSpec) -> list[tuple[Any, ...]]:
-    """A result row per l in [lo, hi], from the rule's columns; a domain violation names N and l."""
+def _classified_rows(N: int, lo: int, hi: int, spec: SumSpec) -> list[Sequence[Any]]:
+    """A result row per l in [lo, hi], from the rule's columns."""
     # trial-factor sized integers stay strings in JSON so consumers that
     # read numbers as doubles cannot corrupt them
     seed = getattr(spec.strategy, "seed", None)
-    rows: list[tuple[Any, ...]] = []
-    try:
-        for block in ghost._classified_blocks(N, range(lo, hi + 1), spec):
-            names = [cls.value for cls in block.classes]
-            rows += zip(
-                map(str, block.ls), block.eps, block.magnitudes, names, repeat(seed),
-                block.term_counts,
-            )
-    except ValueError as exc:
-        raise DomainError(f"{exc} (N={N}, l={lo + len(rows)})") from exc
-    return rows
+    blocks = (
+        zip(map(str, b.ls), b.eps, b.magnitudes, [c.value for c in b.classes], repeat(seed),
+            b.term_counts)
+        for b in ghost._classified_blocks(N, range(lo, hi + 1), spec)
+    )
+    return _trial_rows(N, lo, blocks)
 
 
 def _run_scan(args: argparse.Namespace) -> tuple[list[str], list[tuple[Any, ...]]]:
@@ -427,7 +425,7 @@ def _run_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
         ]
 
     header = ["l", "epsilon", "mx", "my", "transverse", "normalized_signal", "term_count"]
-    return header, _per_trial(n_value, lo, hi, map(row, range(lo, hi + 1)))
+    return header, _trial_rows(n_value, lo, ([row(l)] for l in range(lo, hi + 1)))
 
 
 def _load_figure_defaults(path: str | None) -> dict[str, Any]:
@@ -452,9 +450,9 @@ def _magnitude_rows(
     """[key, M, |s_M(eps)|] for M = 0..max_truncation of each (key, eps, order)."""
     Ms = range(max_truncation + 1)
     return [
-        [key, M, math.hypot(s.real, s.imag) / (M + 1)]
+        [key, M, magnitude]
         for key, eps, order in series
-        for M, (_, s) in enumerate(_curlicue_walk(eps, order, Ms))
+        for M, magnitude in enumerate(_curlicue_magnitudes(eps, order, Ms))
     ]
 
 
@@ -581,7 +579,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, ValueError) as exc:
+    except ValueError as exc:
         # numeric domain violations raised by the computation itself
         print(f"domain error: {exc}", file=sys.stderr)
         return 3

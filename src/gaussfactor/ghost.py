@@ -14,8 +14,6 @@ from enum import Enum
 from math import hypot, sqrt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .numtheory import Epsilon, _check_order, epsilon, is_factor
 from .sums import (
     _MAX_MAGNITUDE,
@@ -23,6 +21,7 @@ from .sums import (
     SumSpec,
     SumValue,
     _curlicue_phases,
+    _first_suppressed,
     _lockstep_phases,
     _mean_columns,
     _walk,
@@ -53,15 +52,6 @@ GHOST_THRESHOLD = 1 / sqrt(2)
 # threshold cases out of the ghost class and the band gives them a home
 GHOST_SLACK = 1e-9
 THRESHOLD_BAND = 1e-3
-# A magnitude formed in numpy from float sums differs from math.hypot's by a
-# few ulps at most, so one this many ulps of the bar away from it is on the
-# same side whichever one formed it
-_BAR_ULPS = 8
-# A walk's float prefix sums lie within 2**-51 * (M + 2) + 2**-43 of the
-# correctly rounded ones (sums._Sums.approx), so a magnitude formed from
-# them lies within sqrt(2) * (2**-50 + 2**-43) < 2**-42 of the one formed
-# from the rounded sums, before the roundings of forming it
-_APPROX_SLACK = 2.0**-40
 
 # Built-in demonstration targets: products of adjacent primes, with scan
 # windows covering both factors.  The second window is the range the
@@ -152,40 +142,6 @@ def classify(N: int, l: int, spec: SumSpec) -> ClassifiedTrial:
     return next(iter_scan_window(N, l, l, spec))
 
 
-def _first_suppressed(walk: Iterable, threshold: float) -> int | None:
-    """First M at which every walk has |s_M| <= threshold, or None once they end.
-
-    walk yields sums._walk's blocks of prefix sums, M along axis 0 and one
-    column per walk run in lockstep.  s_M is the mean of a walk's first
-    M + 1 terms, its magnitude math.hypot of the correctly rounded sums over
-    M + 1, and the comparison allows GHOST_SLACK.  Each block is decided on
-    the float approximations of its sums; a magnitude within _APPROX_SLACK
-    and _BAR_ULPS of the bar is decided again from the exact sums, so the
-    answer is the one the correctly rounded sums give.
-    """
-    bar = threshold + GHOST_SLACK
-    near = _APPROX_SLACK + _BAR_ULPS * np.spacing(abs(bar))
-
-    def first(sums) -> int | None:
-        re, im = sums.approx()  # fresh arrays, squared in place
-        mags = np.square(re, out=re)
-        mags += np.square(im, out=im)
-        np.sqrt(mags, out=mags)
-        mags /= np.arange(sums.start + 1, sums.start + len(mags) + 1)[:, None]
-        below = mags <= bar
-        gap = np.abs(np.subtract(mags, bar, out=im), out=im)
-        for M, col in zip(*np.nonzero(gap <= near)):
-            below[M, col] = hypot(*sums.rounded(M, col)) / (sums.start + M + 1) <= bar
-        done = below.all(axis=1)
-        return sums.start + int(done.argmax()) if done.any() else None
-
-    # through map, so that no block outlives its turn
-    for M in map(first, walk):
-        if M is not None:
-            return M
-    return None
-
-
 def min_suppression_M(
     eps: float,
     n: int = 2,
@@ -205,7 +161,7 @@ def min_suppression_M(
     if m_cap < 1:
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")
     phases = _curlicue_phases(eps, n, range(m_cap + 1))
-    return _first_suppressed(_walk(phases), threshold)
+    return _first_suppressed(_walk(phases), threshold + GHOST_SLACK)
 
 
 def scan_window(
@@ -279,7 +235,7 @@ def scaling_study(
             continue
         worst = min((epsilon(N, l).magnitude for l in nonfactors))
         phases = _lockstep_phases(N, nonfactors, n, range(m_cap + 1))
-        required = _first_suppressed(_walk(phases), threshold)
+        required = _first_suppressed(_walk(phases), threshold + GHOST_SLACK)
         rows.append(ScalingRow(N, (l_min, l_max), worst, required, root))
     return rows
 

@@ -142,7 +142,7 @@ class SumSpec:
         # worded by field name, like the strategies' range errors
         _check_order(self.order, "order")
         if isinstance(self.strategy, Complete) and self.order != 2:
-            raise ValueError("complete sums are only defined for order 2")
+            raise ValueError(f"order must be 2 for the complete sum, got {self.order}")
         if not isinstance(self.strategy, (FullTruncation, Complete, Randomized)):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
@@ -339,6 +339,17 @@ def _cumsum(a: np.ndarray) -> None:
         step *= 2
 
 
+# A magnitude formed in numpy from float sums differs from math.hypot's by a
+# few ulps at most, so one this many ulps of the bar away from it is on the
+# same side whichever one formed it
+_BAR_ULPS = 8
+# A walk's float prefix sums lie within 2**-51 * (M + 2) + 2**-43 of the
+# correctly rounded ones (_Sums.approx), so a magnitude formed from them
+# lies within sqrt(2) * (2**-50 + 2**-43) < 2**-42 of the one formed from
+# the rounded sums, before the roundings of forming it
+_APPROX_SLACK = 2.0**-40
+
+
 class _Sums:
     """The exact prefix sums of a walk block, M - start along axis 0.
 
@@ -398,6 +409,39 @@ class _Sums:
         for limb, lift in zip(self.limbs[:, s, rows, cols].astype(object), lifts[1:]):
             exact = exact + (limb << lift)  # Python ints, elementwise
         return exact / (1 << unit)
+
+
+def _first_suppressed(walk: Iterable[_Sums], bar: float) -> int | None:
+    """First M at which every walk has |s_M| <= bar, or None once they end.
+
+    walk yields _walk's blocks of prefix sums, M along axis 0 and one
+    column per walk run in lockstep.  s_M is the mean of a walk's first
+    M + 1 terms, its magnitude math.hypot of the correctly rounded sums over
+    M + 1.  Each block is decided on the float approximations of its sums;
+    a magnitude within _APPROX_SLACK and _BAR_ULPS of the bar is decided
+    again from the exact sums, so the answer is the one the correctly
+    rounded sums give.
+    """
+    near = _APPROX_SLACK + _BAR_ULPS * np.spacing(abs(bar))
+
+    def first(sums: _Sums) -> int | None:
+        re, im = sums.approx()  # fresh arrays, squared in place
+        mags = np.square(re, out=re)
+        mags += np.square(im, out=im)
+        np.sqrt(mags, out=mags)
+        mags /= np.arange(sums.start + 1, sums.start + len(mags) + 1)[:, None]
+        below = mags <= bar
+        gap = np.abs(np.subtract(mags, bar, out=im), out=im)
+        for M, col in zip(*np.nonzero(gap <= near)):
+            below[M, col] = math.hypot(*sums.rounded(M, col)) / (sums.start + M + 1) <= bar
+        done = below.all(axis=1)
+        return sums.start + int(done.argmax()) if done.any() else None
+
+    # through map, so that no block outlives its turn
+    for M in map(first, walk):
+        if M is not None:
+            return M
+    return None
 
 
 def _prefix_sums(x: np.ndarray, carry: np.ndarray, start: int) -> tuple[_Sums, np.ndarray]:
@@ -602,21 +646,12 @@ def complete_gauss_sum(N: int, l: int) -> SumValue:
     O(log l) integer steps (see _complete_mean) for any l; term_count is
     still l.
     """
-    _check_trial(l)
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    return SumValue(*_complete_mean(N % l, l), l)
-
-
-def _one_shot(N: int, l: int, n: int, ms: Sequence[int]) -> SumValue:
-    """The mean of exp(2*pi*i * m**n * N / l) over ms, through the batched kernel."""
-    ((_, (re,), (im,)),) = _residue_sums(N, (l,), n, ms)
-    return SumValue(re / len(ms), im / len(ms), len(ms))
+    return evaluate(N, l, SumSpec(Complete()))
 
 
 def truncated_sum(N: int, l: int, n: int, M: int) -> SumValue:
     """Order-n exponential sum truncated at M: mean over m = 0..M."""
-    return _one_shot(N, l, n, FullTruncation(M).terms(l))
+    return evaluate(N, l, SumSpec(FullTruncation(M), n))
 
 
 def curlicue_phase(m: int, n: int, p: int, q: int) -> float:
@@ -646,7 +681,7 @@ def randomized_sum(
     Identical (seed, count, m_max) give an identical m-set and hence a
     bit-identical result.
     """
-    return _one_shot(N, l, n, Randomized(count, m_max, seed).terms(l))
+    return evaluate(N, l, SumSpec(Randomized(count, m_max, seed), n))
 
 
 def curlicue_equivalence_check(N: int, l: int, n: int, M: int) -> bool:
@@ -748,7 +783,16 @@ def _curlicue_walk(eps: float, n: int, ms: Sequence[int]) -> Iterator[tuple[comp
     return chain.from_iterable(map(pairs, terms, _summed(t.copy() for t in copies)))
 
 
+def _curlicue_magnitudes(eps: float, n: int, ms: Sequence[int]) -> Iterator[float]:
+    """|s_M| of the curlicue walk over ms, for M = 0, 1, 2, ... in order.
+
+    math.hypot of each partial sum, rounded correctly when it is read, over
+    M + 1.  eps and n are checked on the call.
+    """
+    partials = chain.from_iterable(map(_Sums.partials, _walk(_curlicue_phases(eps, n, ms))))
+    return (math.hypot(s.real, s.imag) / k for k, s in enumerate(partials, 1))
+
+
 def iter_curlicue_magnitudes(eps: float, n: int) -> Iterator[tuple[int, float]]:
     """Yield (M, |s_M|) for M = 0, 1, 2, ... without re-summing."""
-    walk = enumerate(_curlicue_walk(eps, n, range(2**64)))
-    return ((m, math.hypot(s.real, s.imag) / (m + 1)) for m, (_, s) in walk)
+    return enumerate(_curlicue_magnitudes(eps, n, range(2**64)))

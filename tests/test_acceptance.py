@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 import time
+from statistics import linear_regression
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from gaussfactor import (
     randomized_success_fraction,
     randomized_sum,
     residue_magnitudes,
+    scaling_study,
     scan_window,
     simulate_experiment,
     small_angle_error,
@@ -265,3 +267,69 @@ def test_criterion_11_cli_runs_are_byte_identical(tmp_path):
         f"criterion 11: {len(first.stdout)} stdout bytes and "
         f"{out_a.stat().st_size} file bytes identical across runs"
     )
+
+
+# the first 12 primes as Miller-Rabin bases decide primality exactly below
+# 3.18 * 10**23 (Jiang & Deng 2014), far past every ladder prime here
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for a in MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime(x: float) -> int:
+    """The least prime above x."""
+    n = math.floor(x) + 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def scaling_ladder(digits):
+    """Three adjacent-prime semiprimes per digit count, each with window [p - 10, q + 10]."""
+    for d in digits:
+        for k in range(3):
+            p = next_prime(10 ** (d / 2) * (1 + 0.1 * k))
+            q = next_prime(p)
+            yield p * q, (p - 10, q + 10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_criterion_12_required_M_scales_as_inverse_eps_to_one_over_n(n):
+    # orders 3 to 5 climb to 30 digits, whose windows lie past l = 2**32,
+    # so the search runs on both residue paths
+    digits = [*range(8, 19), *(range(20, 31, 2) if n > 2 else ())]
+    cases = list(scaling_ladder(digits))
+    t0 = time.perf_counter()
+    rows = scaling_study(cases, n, m_cap=10**6)
+    elapsed = time.perf_counter() - t0
+    assert all(r.required_M is not None for r in rows)
+    log_M = [math.log(r.required_M) for r in rows]
+    by_eps = linear_regression([math.log(1 / r.worst_epsilon) for r in rows], log_M).slope
+    by_N = linear_regression([math.log(r.N) for r in rows], log_M).slope
+    print(
+        f"criterion 12: order {n}, {len(rows)} rows over {digits[0]}-{digits[-1]} digits, "
+        f"slope vs log(1/|eps|)={by_eps:.3f} (needs {1 / n:.3f} +- 0.05), "
+        f"slope vs log N={by_N:.3f}, elapsed={elapsed:.3f}s"
+    )
+    assert abs(by_eps - 1 / n) <= 0.05
+    assert elapsed < 60.0

@@ -4,6 +4,7 @@ import math
 from importlib import resources
 from itertools import islice
 
+import golden_corpus
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -288,6 +289,19 @@ class TestSuppressionAndScaling:
         assert out == ""
         assert err.startswith("error: --epsilon")
 
+    def test_negative_epsilon_with_an_exponent_is_a_value(self, capsys):
+        # argparse's own negative-number pattern has no exponent, so this
+        # argv once exited 1 with "expected one argument"
+        golden = golden_corpus.GOLDEN / "suppression-neg-1e-16-order4.out"
+        code, out, err = run(capsys, "suppression", "--epsilon", "-1e-16", "--order", "4")
+        assert (code, out, err) == (0, golden.read_text("utf-8"), "")
+
+    def test_negative_threshold_with_an_exponent_is_a_value(self, capsys):
+        argv = ("suppression", "--epsilon", "0.01", "--threshold", "-1e-3", "--m-cap", "10")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "0.01,2,-0.001,10,"
+
     @pytest.mark.parametrize("eps, required", [("1", "1"), ("-0.5", "1")])
     def test_epsilon_range_is_half_open(self, capsys, eps, required):
         code, out, _ = run(capsys, "suppression", "--epsilon", eps)
@@ -385,6 +399,13 @@ class TestSimulate:
         assert (code, err) == (0, "")
         assert out.splitlines()[1].endswith(",65537")
 
+    def test_negative_theta_with_an_exponent_is_refused_by_value(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--n", N12, "--l", "1299709",
+            "--truncation", "19", "--theta", "-1e-3",
+        )
+        assert (code, out, err) == (1, "", "error: --theta: must be positive, got -0.001\n")
+
     def test_oversized_angle_is_a_domain_error(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--n", N12, "--l", "1299709",
@@ -407,10 +428,11 @@ class TestExitCodes:
         [
             (("--count", "3"), "randomized strategy needs both --count and --m-max"),
             (("--m-max", "3"), "randomized strategy needs both --count and --m-max"),
+            (("--complete", "--order", "3"), "--order must be 2 for the complete sum, got 3"),
             ((), "exactly one strategy: --truncation M, or --count K with --m-max, "
                  "or --complete"),
         ],
-        ids=["count", "m-max", "none"],
+        ids=["count", "m-max", "complete-order", "none"],
     )
     def test_strategy_errors_name_flags(self, capsys, flags, message):
         code, _, err = run(capsys, "scan", "--n", N12, *flags)

@@ -201,7 +201,8 @@ class TestBarDecision:
         for bar in (by_numpy, by_math):
             threshold = self.threshold_for(bar)
             want = 0 if by_math <= bar else None
-            assert ghost._first_suppressed(self.blocks([complex(re, im)]), threshold) == want
+            walk = self.blocks([complex(re, im)])
+            assert sums._first_suppressed(walk, threshold + GHOST_SLACK) == want
 
     def test_math_hypot_decides_in_lockstep_rows(self):
         re, im = self.hypot_split()
@@ -211,7 +212,7 @@ class TestBarDecision:
         # the split pair in the second row, doubled as a sum of two terms
         walk = [[1 + 1j, 1 + 1j], [0j, complex(2 * re, 2 * im)]]
         want = 1 if by_math <= threshold + GHOST_SLACK else None
-        assert ghost._first_suppressed(self.blocks(walk), threshold) == want
+        assert sums._first_suppressed(self.blocks(walk), threshold + GHOST_SLACK) == want
 
     def test_exact_sum_decides_inside_the_error_bound(self):
         # 1/2 + (2**-54 + 2**-106) rounds up to 1/2 + 2**-53, but the float
@@ -225,7 +226,7 @@ class TestBarDecision:
         assert abs(approx - exact) <= 2.0**-51 * (1 + 2) + 2.0**-43
         threshold = self.threshold_for(0.25)
         assert approx / 2 <= threshold + GHOST_SLACK < exact / 2
-        assert ghost._first_suppressed(walk, threshold) is None
+        assert sums._first_suppressed(walk, threshold + GHOST_SLACK) is None
 
 
 class TestScanWindow:

@@ -795,6 +795,19 @@ class TestSpecAndValue:
         with pytest.raises(ValueError):
             Randomized(0, 10, 0)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: truncated_sum(15, 4, 1, 3), "order must be >= 2, got 1"),
+            (lambda: randomized_sum(15, 4, 1, 3, 10, 0), "order must be >= 2, got 1"),
+            (lambda: SumSpec(Complete(), 3), "order must be 2 for the complete sum, got 3"),
+        ],
+        ids=["truncated", "randomized", "complete"],
+    )
+    def test_order_errors_name_the_field(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_sum_value_guards(self):
         with pytest.raises(ValueError):
             SumValue(1.5, 0.0, 3)
