@@ -84,6 +84,11 @@ CASES: dict[str, list[str]] = {
     "suppression-1e-16-order4": ["suppression", "--epsilon", "1e-16", "--order", "4"],
     "suppression-neg-1e-16-order4": ["suppression", "--epsilon=-1e-16", "--order", "4"],
     "suppression-subnormal": ["suppression", "--epsilon", "5e-324", "--m-cap", "1000"],
+    # curlicue phases as power-of-two residues: the order-3 walk of 980,454
+    # terms crosses m**3 = 2**53, and the order-4 eps = p / 2**116 needs
+    # a second 64-bit limb
+    "suppression-1e-18-order3": ["suppression", "--epsilon", "1e-18", "--order", "3"],
+    "suppression-neg-3.3e-20-order4": ["suppression", "--epsilon=-3.3e-20", "--order", "4"],
     "scaling-17-order3": ["scaling", "--order", "3", "--case", f"{N17}:179423673:179425673"],
     "scaling-17-above-bound": [
         "scaling", "--case", f"{N17}:4294967290:4294967300", "--m-cap", "50",
