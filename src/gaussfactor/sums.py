@@ -5,11 +5,11 @@ exp(2*pi*i * m**n * N / l) over some index set of m.  A trial factor l of N
 makes every phase an integer multiple of 2*pi, so the mean has magnitude 1;
 non-factors scatter the phases and the mean shrinks.
 
-Every phase is reduced exactly, with integer arithmetic or an error-free
-float product, before any trigonometry happens.  Evaluating 2*pi*m**2*N/l
-directly in floating point is catastrophically wrong for 17-digit N (the
-argument reaches 10**19 where doubles are spaced thousands apart), and that
-reduction is the single design decision everything else here leans on.
+Every phase is reduced exactly, in integer arithmetic, before any
+trigonometry happens.  Evaluating 2*pi*m**2*N/l directly in floating point
+is catastrophically wrong for 17-digit N (the argument reaches 10**19 where
+doubles are spaced thousands apart), and that reduction is the single
+design decision everything else here leans on.
 """
 from __future__ import annotations
 
@@ -54,11 +54,8 @@ _WALK_TERMS = 1 << 13
 _FIRST_TERMS = 1 << 5
 # Residues below l multiply to less than 2**64 while l <= 2**32.
 _UINT64_BOUND = 1 << 32
-# A curlicue phase m**n * eps is an error-free double product while m**n
-# is an exact double and no partial product of the split factors underflows.
-_EXACT_FLOAT_INT = 1 << 53
-_SPLIT = float((1 << 27) + 1)  # Veltkamp's splitter for 53-bit doubles
-_TWO_PRODUCT_FLOOR = 2.0 ** -960
+# The low half of a uint64: _mul64 forms its products from 32-bit halves.
+_LOW32 = (1 << 32) - 1
 # A prefix sum is exact in int64 limbs of units 2**-_SHIFTS[j], 55 bits
 # apart: a head in units of 8, then 2**-52, 2**-107 and on, down to
 # 2**-1097, below the least subnormal.  Limbs of one term are below 2**54,
@@ -195,91 +192,94 @@ def _residue_phases(N: int, l: int, n: int, ms: Iterable[int]) -> Iterator[float
     return _phases(2 * (N % l), l, n, ms)
 
 
-def _two_product(a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) with hi = fl(a*b) and a*b = hi + lo exactly.
+def _square_and_multiply(r, base, n: int, mul: Callable):
+    """r * base**n under the product mul, in O(log n) products."""
+    while True:
+        if n & 1:
+            r = mul(r, base)
+        if not (n := n >> 1):
+            return r
+        base = mul(base, base)
 
-    Dekker's product over Veltkamp's split halves: exact while the split
-    does not overflow and no partial product underflows.
+
+def _mul64(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit products a * b of uint64s as (high, low) limbs, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    mid = a1 * b0
+    mid += a0 * b0 >> 32  # below (2**32 - 1) * 2**32, so no sum here wraps
+    high = a1 * b1
+    high += mid >> 32
+    mid &= _LOW32
+    mid += a0 * b1
+    high += mid >> 32
+    return high, a * b
+
+
+def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The products a * b mod 2**128 of (high, low) uint64 limb pairs."""
+    high, low = _mul64(a[1], b[1])
+    high += a[0] * b[1]
+    high += a[1] * b[0]
+    return high, low
+
+
+def _dyadic_floats(high: np.ndarray, low: np.ndarray, k: int) -> np.ndarray:
+    """(high * 2**64 + low) / 2**k for uint64 limbs, each rounded once, for k <= 1022.
+
+    The top 64 bits, above a shift s of high's bit length or one more (its
+    float's exponent), with a sticky bit for the rest, round to nearest as
+    the whole does: with s > 0 they are at least 2**63, so the sticky bit
+    lies below the rounding position.  One conversion, then an exact 2**(s - k).
+    numpy's uint64 shift by 64 gives 0, which the ends s = 0 and 64 use.
     """
-    def split(x):
-        big = x * _SPLIT
-        head = big - (big - x)
-        return head, x - head
-
-    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
-    hi = a * b
-    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    s = np.minimum(np.frexp(high.astype(np.float64))[1], 64).astype(np.uint64)
+    top = high << (64 - s)
+    top |= low >> s
+    top |= (low << (64 - s)) != 0
+    return np.ldexp(top.astype(np.float64), s.astype(np.int32) - k)
 
 
-def _two_product_phases(eps: float, n: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """pi * (m**n * eps mod 2) for 0 <= m with m**n < 2**53, |eps| in [2**-960, 1].
+def _dyadic_phases(p: int, k: int, n: int, m: np.ndarray) -> np.ndarray:
+    """pi * ((m**n * p) mod 2**(k + 1)) / 2**k for uint64 m, 0 <= p < 2**128 and k < 128.
 
-    Also returns the elements whose rounding it cannot decide, for _phases.
-    m**n * eps = hi + lo exactly (|hi| <= 2**53) and f = fmod(hi, 2) is exact.
-    If hi >= 0 or hi <= -1, f' = f, or f + 2 when f < 0, is exact too (f is
-    then a multiple of ulp(hi)), so f' + lo is the reduced value rounded
-    once, as _phases' r / q is; it is negative only as lo itself (f = 0),
-    and then lo + 2 rounds once.  If -1 < hi < 0, the reduced value is
-    2 + hi + lo = s + e + lo, with s = fl(2 + hi) and e its exact error, and
-    fl(e + lo) lies on the same side of s's half ulp, 2**-53, as e + lo does
-    unless it lands on it: those elements are the undecided ones.
+    The residue is formed mod 2**128 in two uint64 limbs and masked to
+    k + 1 bits.  m**n is taken as one limb where its wrap mod 2**64 does
+    not matter, k < 64, or cannot happen, n * bit_length(max m) <= 64.
     """
-    power = m ** n if n < 53 else m  # from order 53 on, m is 0 or 1
-    hi, lo = _two_product(power.astype(np.float64), eps)
-    f = np.fmod(hi, 2.0)
-    r = np.where(f < 0, f + 2.0, f) + lo
-    r = np.where(r < 0, r + 2.0, r)
-    s = 2.0 + hi
-    t = (hi - (s - 2.0)) + lo
-    inside = (-1.0 < hi) & (hi < 0.0)
-    r = np.where(inside, s + t, r)
-    return math.pi * r, inside & (np.abs(t) == 2.0 ** -53)
-
-
-def _power_bound(n: int) -> int:
-    """The largest m with m**n < 2**53."""
-    if n >= 53:
-        return 1
-    m = int(2.0 ** (53 / n))
-    while m**n >= _EXACT_FLOAT_INT:
-        m -= 1
-    while (m + 1) ** n < _EXACT_FLOAT_INT:
-        m += 1
-    return m
+    if k < 64 or n * int(m.max()).bit_length() <= 64:
+        m, n = _square_and_multiply(m, m, n - 1, np.multiply), 1
+    high, low = _square_and_multiply(divmod(p, 1 << 64), (0, m), n, _mul128)
+    mask = (1 << k + 1) - 1
+    high &= mask >> 64
+    low &= mask % (1 << 64)
+    return math.pi * _dyadic_floats(high, low, k)
 
 
 def _curlicue_phases(eps: float, n: int, ms: Sequence[int]) -> Iterator[np.ndarray]:
     """The phases pi*m**n*eps for m in ms, reduced mod 2*pi, in blocks.
 
-    Bit for bit the phases of _phases on the exact ratio p/q of eps.  Each
-    element takes the error-free product of _two_product_phases where its
-    conditions hold and _phases in exact ints where they do not: m outside
-    [0, 2**63), m**n at or past 2**53, |eps| outside [2**-960, 1], or an
-    ambiguous rounding.  The first block holds _FIRST_TERMS terms, and each
-    next one twice as many up to _WALK_TERMS.  A block of a range inside
-    [0, 2**63) is formed by np.arange.  eps and n are checked on the call.
+    Bit for bit the phases of _phases on the exact ratio p/2**k of eps:
+    the uint64 residues of _dyadic_phases, or _phases in exact ints for a
+    block where k >= 128 or some m lies outside [0, 2**64).  The first
+    block holds _FIRST_TERMS terms, and each next one twice as many up to
+    _WALK_TERMS.  eps and n are checked on the call.
     """
     if not math.isfinite(eps):
         raise ValueError(f"epsilon must be finite, got {eps}")
     _check_order(n)
     n = operator.index(n)
     p, q = eps.as_integer_ratio()
-    bound = _power_bound(n) if _TWO_PRODUCT_FLOOR <= abs(eps) <= 1 else -1
+    k = q.bit_length() - 1
 
     def blocks() -> Iterator[np.ndarray]:
         start, size = 0, min(_FIRST_TERMS, _WALK_TERMS)
         while part := ms[start:start + size]:
             start, size = start + size, min(2 * size, _WALK_TERMS)
-            if isinstance(part, range) and 0 <= part[0] < 2**63 and 0 <= part[-1] < 2**63:
-                m = np.arange(part.start, part.stop, part.step)
+            ends = (part[0], part[-1]) if isinstance(part, range) else part
+            if k < 128 and 0 <= min(ends) and max(ends) < 2**64:
+                yield _dyadic_phases(p % (2 * q), k, n, _uint64s(part))
             else:
-                m = np.array([x if 0 <= x < 2**63 else -1 for x in part], dtype=np.int64)
-            out = (m < 0) | (m > bound)
-            ph, redo = _two_product_phases(eps, n, np.where(out, 0, m))
-            redo = np.flatnonzero(redo | out).tolist()
-            if redo:
-                ph[redo] = list(_phases(p, q, n, [part[i] for i in redo]))
-            yield ph
+                yield np.array(list(_phases(p, q, n, part)))
 
     return blocks()
 
@@ -525,6 +525,13 @@ def _walk_totals(blocks: Iterable[np.ndarray]) -> tuple[list[float], list[float]
     return sums.last()
 
 
+def _uint64s(ms: Sequence[int]) -> np.ndarray:
+    """ms as uint64s: a range by np.arange, a drawn m-set by np.array."""
+    if isinstance(ms, range):
+        return np.arange(ms.start, ms.stop, ms.step, dtype=np.uint64)
+    return np.array(ms, dtype=np.uint64)
+
+
 def _uint64_residues(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
     """(m**n * t) mod l for each t = N mod l in ts and l in ls (rows), m in ms (columns).
 
@@ -534,18 +541,7 @@ def _uint64_residues(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]
     """
     l = np.asarray(ls, dtype=np.uint64)[:, None]
     r = np.asarray(ts, dtype=np.uint64)[:, None]
-    if isinstance(ms, range):
-        m = np.arange(ms.start, ms.stop, ms.step, dtype=np.uint64)
-    else:
-        m = np.array(ms, dtype=np.uint64)
-    base = m % l
-    while True:
-        if n & 1:
-            r = r * base % l
-        n >>= 1
-        if not n:
-            return r
-        base = base * base % l
+    return _square_and_multiply(r, _uint64s(ms) % l, n, lambda a, b: a * b % l)
 
 
 def _uint64_phases(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:

@@ -535,22 +535,26 @@ def fsum_prefixes(terms) -> list[float]:
     return [fsum(terms[:M + 1]) for M in range(len(terms))]
 
 
-# edges of the error-free product: subnormal and tiny eps, the 2**-960
-# floor on either side, the ends of [-1, 1] and signed zeros
+# edges of the power-of-two residues eps = p / 2**k: subnormal and tiny
+# eps, one limb (k < 64) and two (k < 128) on either side of their ends,
+# with short and full mantissas, the ends of [-1, 1] and signed zeros
 EDGE_EPSILONS = [
-    5e-324, -5e-324, 1e-300, -1e-300, 2.0**-960, -(2.0**-960),
-    math.nextafter(2.0**-960, 0.0), 1.0, -1.0, math.nextafter(1.0, 0.0), 0.0, -0.0,
-    0.5, 1e-12, -1e-16, 4e-5,
+    5e-324, -5e-324, 1e-300, -1e-300, 1e-40, -1e-40, 2.0**-63, 2.0**-64, -(2.0**-64),
+    2.0**-127, -(2.0**-127), 2.0**-128, math.ldexp(2**53 - 1, -127),
+    -math.ldexp(2**53 - 1, -127), math.ldexp(2**53 - 1, -128), math.ldexp(2**53 - 1, -63),
+    1.0, -1.0, math.nextafter(1.0, 0.0), 0.0, -0.0, 0.5, 1e-12, -1e-16, 4e-5,
 ]
 
 
 @st.composite
 def curlicue_walks(draw):
-    """(eps, n, ms): m-sets straddling m**n = 2**53, seeded draws or any m."""
+    """(eps, n, ms): m-sets straddling where m**n takes two limbs, seeded draws or any m."""
     eps = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(EDGE_EPSILONS)))
     n = draw(st.integers(2, 6))
-    bound = sums._power_bound(n)
-    centre = bound + draw(st.integers(-50, 50))
+    # m**n passes 2**64 near the first; from the second on, the bit length
+    # of m no longer bounds m**n below 2**64
+    root = int(2 ** (64 / n))
+    centre = draw(st.sampled_from([root, 2 ** (64 // n)])) + draw(st.integers(-50, 50))
     width = draw(st.integers(1, 120))
     ms = draw(st.one_of(
         st.just(range(max(0, centre - width), centre + width)),
@@ -558,44 +562,80 @@ def curlicue_walks(draw):
             lambda count, m_max, seed: Randomized(count, m_max, seed).terms(0),
             st.integers(1, 30), st.integers(30, 2**64 - 1), st.integers(0, 2**64 - 1),
         ),
-        st.lists(st.integers(0, 2 * bound), min_size=1, max_size=60),
+        st.lists(
+            st.one_of(st.integers(0, 2 * root), st.integers(-1, 2**66)),
+            min_size=1, max_size=60,
+        ),
     ))
     return eps, n, ms
 
 
 class TestBlockedWalks:
-    def test_power_bound_is_the_last_exact_power(self):
-        for n in range(2, 60):
-            bound = sums._power_bound(n)
-            assert bound**n < 2**53 <= (bound + 1) ** n
-
     @given(curlicue_walks())
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_phases_match_the_reference_bit_for_bit(self, walk):
         eps, n, ms = walk
         assert blocked_curlicue_phases(eps, n, ms) == reference_curlicue_phases(eps, n, ms)
 
-    def test_midpoint_roundings_take_the_exact_path(self):
-        # for -1 < m**n * eps < 0 the sum 2 + hi + lo can land on a midpoint
-        # of the grid near 2 once lo is rounded; such eps sit next to
-        # -2**-53 / m**2 and must come out as the exact path gives them
-        flagged = 0
+    def test_near_midpoint_epsilons_match_the_reference(self):
+        # eps next to -2**-53 / m**2 puts m**2 * eps just above -2**-53,
+        # where 2 + m**2 * eps lies next to a midpoint of the grid near 2
         for m in range(2, 300):
             eps = 2.0**-53 / m**2
             for _ in range(5):
                 ms = [m, m + 1, 0]
-                power = np.array(ms, dtype=np.int64)
-                flagged += int(sums._two_product_phases(-eps, 2, power)[1].sum())
                 assert blocked_curlicue_phases(-eps, 2, ms) == reference_curlicue_phases(-eps, 2, ms)
                 eps = math.nextafter(eps, 1.0)
-        assert flagged > 0
 
     def test_walks_straddling_the_bound_at_order_four(self):
         # m**4 crosses 2**53 at m = 9741, inside the walk of the
-        # suppression --epsilon 1e-16 --order 4 run
-        ms = range(9000, 10500)
-        for eps in (1e-16, -1e-16, 0.3, -0.7):
-            assert blocked_curlicue_phases(eps, 4, ms) == reference_curlicue_phases(eps, 4, ms)
+        # suppression --epsilon 1e-16 --order 4 run, and 2**64 at m = 65536,
+        # where the power takes two limbs
+        for ms in (range(9000, 10500), range(65000, 66500)):
+            for eps in (1e-16, -1e-16, 0.3, -0.7):
+                assert blocked_curlicue_phases(eps, 4, ms) == reference_curlicue_phases(eps, 4, ms)
+
+    @pytest.mark.parametrize("n", [53, 64, 65, 1000003, 2**64])
+    def test_large_orders_match_the_exact_path(self, n):
+        # the CLI takes any order; past 64 no power of m >= 2 fits one limb
+        rng = random.Random(n)
+        ms = [*range(40), *(rng.getrandbits(64) for _ in range(20))]
+        for eps in (0.01, 1e-12, -1e-18, 2.0**-127):
+            p, q = eps.as_integer_ratio()
+            assert blocked_curlicue_phases(eps, n, ms) == hexes(sums._phases(p, q, n, ms))
+
+    def test_residue_limbs_and_their_floats_match_python_ints(self):
+        rng = random.Random(11)
+        a = [rng.getrandbits(rng.randint(0, 64)) for _ in range(2000)] + [0, 2**64 - 1]
+        b = [rng.getrandbits(rng.randint(0, 64)) for _ in range(2000)] + [2**64 - 1, 0]
+        high, low = sums._mul64(np.array(a, np.uint64), np.array(b, np.uint64))
+        assert [(h << 64) + l for h, l in zip(high.tolist(), low.tolist())] == [
+            x * y for x, y in zip(a, b)
+        ]
+        # (high, low) pairs of 128-bit values
+        x, y = (a[:1000], a[1000:2000]), (b[:1000], b[1000:2000])
+        high, low = sums._mul128(*[tuple(np.array(limb, np.uint64) for limb in v) for v in (x, y)])
+        assert [(h << 64) + l for h, l in zip(high.tolist(), low.tolist())] == [
+            ((xh << 64) + xl) * ((yh << 64) + yl) % 2**128 for xh, xl, yh, yl in zip(*x, *y)
+        ]
+        # round to nearest, ties to even, from values with long runs of
+        # zeros or ones below the rounding position
+        values = [rng.getrandbits(rng.randint(0, 128)) for _ in range(3000)]
+        ties = [(2**53 + 1) << s for s in range(75)] + [(2**54 - 1) << s for s in range(75)]
+        values += ties + [tie + 1 for tie in ties] + [tie - 1 for tie in ties] + [2**128 - 1]
+        for k in (0, 63, 64, 127, 1022):
+            floats = sums._dyadic_floats(
+                np.array([v >> 64 for v in values], np.uint64),
+                np.array([v & (2**64 - 1) for v in values], np.uint64), k,
+            )
+            assert hexes(floats.tolist()) == hexes(v / 2**k for v in values)
+
+    def test_uint64_shifts_by_64_give_zero(self):
+        # _dyadic_floats shifts by 64 - s and by s, for s from 0 to 64
+        ones = np.full(3, 2**64 - 1, np.uint64)
+        by = np.array([64, 0, 64], np.uint64)
+        assert (ones << by).tolist() == [0, 2**64 - 1, 0]
+        assert (ones >> by).tolist() == [0, 2**64 - 1, 0]
 
     def test_walk_blocks_hold_walk_terms(self):
         # the first block holds 32 terms, and each next one twice as many
