@@ -173,9 +173,11 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        # argparse's own pattern has no exponent, so it takes -1e-16 for a
-        # flag; any argument that starts "-<digit>" or "-.<digit>" is a value
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse's own pattern has no exponent and no inf or nan, so it
+        # takes -1e-16 and -inf for flags; any argument that starts
+        # "-<digit>" or "-.<digit>", or is -inf, -infinity or -nan in any
+        # case, as float() reads them, is a value
+        self._negative_number_matcher = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.I)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ValidationError(message)
@@ -380,8 +382,8 @@ def _check_study_flags(args: argparse.Namespace) -> None:
         raise ValidationError(f"--order: must be >= 2, got {args.order}")
     if args.m_cap < 1:
         raise ValidationError(f"--m-cap: must be >= 1, got {args.m_cap}")
-    if not math.isfinite(args.threshold):
-        raise ValidationError(f"--threshold: must be finite, got {args.threshold}")
+    if not 0 <= args.threshold < math.inf:
+        raise ValidationError(f"--threshold: must be finite and >= 0, got {args.threshold}")
 
 
 def _run_suppression(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:

@@ -282,7 +282,9 @@ class TestSuppressionAndScaling:
         assert code == 3
         assert "factor case" in err
 
-    @pytest.mark.parametrize("eps", ["5", "-1", "nan", "inf"])
+    # -inf and -nan once exited 1 with "expected one argument": argparse
+    # took them for flags
+    @pytest.mark.parametrize("eps", ["5", "-1", "nan", "inf", "-inf", "-nan", "-Infinity"])
     def test_epsilon_outside_its_range_rejected(self, capsys, eps):
         code, out, err = run(capsys, "suppression", "--epsilon", eps)
         assert code == 1
@@ -339,6 +341,19 @@ class TestSuppressionAndScaling:
         assert code == 1
         assert out == ""
         assert "--threshold" in err
+
+    @pytest.mark.parametrize("threshold", ["-1e-3", "-0.5", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("suppression", "--epsilon", "0.01"), ("scaling", "--case", "10403:2:101")],
+        ids=" ".join,
+    )
+    def test_negative_threshold_rejected(self, capsys, argv, threshold):
+        # no magnitude lies at or below a bar under 0, so this once walked
+        # all 10**6 terms of the default --m-cap to print an empty required_M
+        code, out, err = run(capsys, *argv, "--threshold", threshold)
+        assert (code, out) == (1, "")
+        assert err == f"error: --threshold: must be finite and >= 0, got {float(threshold)}\n"
 
     @pytest.mark.parametrize("m_cap", ["-1", "0"])
     def test_scaling_cap_must_be_positive(self, capsys, m_cap):
@@ -403,6 +418,14 @@ class TestSimulate:
             "--truncation", "19", "--theta", "-1e-3",
         )
         assert (code, out, err) == (1, "", "error: --theta: must be positive, got -0.001\n")
+
+    @pytest.mark.parametrize("theta, shown", [("-inf", "-inf"), ("-nan", "nan")])
+    def test_non_finite_negative_theta_is_refused_by_value(self, capsys, theta, shown):
+        code, out, err = run(
+            capsys, "simulate", "--n", N12, "--l", "1299709",
+            "--truncation", "19", "--theta", theta,
+        )
+        assert (code, out, err) == (1, "", f"error: --theta: must be positive, got {shown}\n")
 
     def test_oversized_angle_is_a_domain_error(self, capsys):
         code, _, err = run(
