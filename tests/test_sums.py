@@ -562,10 +562,9 @@ def curlicue_walks(draw):
             lambda count, m_max, seed: Randomized(count, m_max, seed).terms(0),
             st.integers(1, 30), st.integers(30, 2**64 - 1), st.integers(0, 2**64 - 1),
         ),
-        st.lists(
-            st.one_of(st.integers(0, 2 * root), st.integers(-1, 2**66)),
-            min_size=1, max_size=60,
-        ),
+        st.lists(st.integers(0, 2 * root), min_size=1, max_size=60),
+        # past 2**64, where a block takes the exact path
+        st.lists(st.integers(-1, 2**66), min_size=1, max_size=60),
     ))
     return eps, n, ms
 
