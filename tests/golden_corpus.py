@@ -124,6 +124,23 @@ CASES: dict[str, list[str]] = {
     ],
     "figure-2-json": ["reproduce-figure", "2", "--format", "json"],
     "scaling-10403-json": ["scaling", "--case", "10403:2:101", "--format", "json"],
+    # pulse trains composed a tree level at a time: the default 33-trial
+    # window of 3,000 pulses spans a lockstep block per 248 pulses, the
+    # complete train of 65,537 pulses ends one past a power of two, 8,193
+    # pulses end one past a 2**13 block, and l = 2**32 takes the exact-int
+    # phase path
+    "simulate-12-truncation2999": [
+        "simulate", "--n", N12, "--truncation", "2999", "--theta", "1e-5",
+    ],
+    "simulate-12-complete-65537": [
+        "simulate", "--n", N12, "--l", "65537", "--complete", "--theta", "1e-6",
+    ],
+    "simulate-12-truncation8192": [
+        "simulate", "--n", N12, "--l", "1299711", "--truncation", "8192", "--theta", "5e-5",
+    ],
+    "simulate-17-above-bound": [
+        "simulate", "--n", N17, "--l", "4294967296", "--truncation", "19", "--theta", "0.0025",
+    ],
 }
 
 
