@@ -415,8 +415,8 @@ def _run_scaling(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
 
 def _run_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
     n_value, (lo, hi) = _trials(args)
-    if not args.theta > 0:
-        raise ValidationError(f"--theta: must be positive, got {args.theta}")
+    if not 0 < args.theta < math.inf:
+        raise ValidationError(f"--theta: must be finite and positive, got {args.theta}")
     spec = _flag_spec(args)
 
     def row(l: int) -> list[Any]:

@@ -417,7 +417,9 @@ class TestSimulate:
             capsys, "simulate", "--n", N12, "--l", "1299709",
             "--truncation", "19", "--theta", "-1e-3",
         )
-        assert (code, out, err) == (1, "", "error: --theta: must be positive, got -0.001\n")
+        assert (code, out, err) == (
+            1, "", "error: --theta: must be finite and positive, got -0.001\n"
+        )
 
     @pytest.mark.parametrize("theta, shown", [("-inf", "-inf"), ("-nan", "nan")])
     def test_non_finite_negative_theta_is_refused_by_value(self, capsys, theta, shown):
@@ -425,7 +427,26 @@ class TestSimulate:
             capsys, "simulate", "--n", N12, "--l", "1299709",
             "--truncation", "19", "--theta", theta,
         )
-        assert (code, out, err) == (1, "", f"error: --theta: must be positive, got {shown}\n")
+        assert (code, out, err) == (
+            1, "", f"error: --theta: must be finite and positive, got {shown}\n"
+        )
+
+    @pytest.mark.parametrize("theta", ["inf", "Infinity", "+inf"])
+    def test_infinite_theta_is_a_bad_flag(self, capsys, theta):
+        # as --epsilon inf is: no pulse train is formed to find it too large
+        code, out, err = run(
+            capsys, "simulate", "--n", N12, "--l", "1299709",
+            "--truncation", "19", "--theta", theta,
+        )
+        assert (code, out, err) == (1, "", "error: --theta: must be finite and positive, got inf\n")
+
+    def test_finite_huge_theta_stays_a_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--n", N12, "--l", "1299709",
+            "--truncation", "19", "--theta", "1e308",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: total flip angle ")
 
     def test_oversized_angle_is_a_domain_error(self, capsys):
         code, _, err = run(
