@@ -418,16 +418,14 @@ def _run_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
     if not 0 < args.theta < math.inf:
         raise ValidationError(f"--theta: must be finite and positive, got {args.theta}")
     spec = _flag_spec(args)
-
-    def row(l: int) -> list[Any]:
-        r = spinsim.simulate_experiment(n_value, l, spec, args.theta)
-        return [
-            str(l), epsilon(n_value, l).value, r.mx, r.my,
-            r.transverse_magnitude, r.normalized_signal, len(spec.strategy.terms(l)),
-        ]
-
+    ls = range(lo, hi + 1)
+    rows = (
+        [[str(l), epsilon(n_value, l).value, r.mx, r.my,
+          r.transverse_magnitude, r.normalized_signal, len(spec.strategy.terms(l))]]
+        for l, r in zip(ls, spinsim._readings(n_value, ls, spec, args.theta))
+    )
     header = ["l", "epsilon", "mx", "my", "transverse", "normalized_signal", "term_count"]
-    return header, _trial_rows(n_value, lo, ([row(l)] for l in range(lo, hi + 1)))
+    return header, _trial_rows(n_value, lo, rows)
 
 
 def _load_figure_defaults(path: str | None) -> dict[str, Any]:

@@ -9,10 +9,14 @@ the mean of the unit phasors.
 
 Every rotation is carried as its SU(2) Cayley-Klein pair (a, b), the first
 column of the propagator [[a, -conj(b)], [b, conj(a)]].  One kernel composes
-a train's pairs as a pairwise tree and renormalizes each product, so the
-rounding error grows with the depth of the tree, log2 of the train length,
-and the composed rotation stays unitary to machine precision however long
-the train.  States are 2x2 density matrices.  The thermal state is the usual
+a train's pairs as a pairwise tree, a level at a time in numpy, with the
+trains of every trial factor that shares a term set in lockstep, one column
+each.  Each product is spelled as CPython's complex arithmetic evaluates it
+and renormalized by math.hypot, so the kernel gives the bits of composing
+one pulse at a time in Python complex numbers; the rounding error grows
+with the depth of the tree, log2 of the train length, and the composed
+rotation stays unitary to machine precision however long the train.
+States are 2x2 density matrices.  The thermal state is the usual
 high-temperature deviation along z; the proportionality constant drops out
 of the normalized signal, which divides by the exact factor-case response
 so a true factor reads exactly 1.
@@ -22,12 +26,21 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable
+from itertools import count
+from operator import attrgetter
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .sums import SumSpec, _residue_phases, evaluate
+from .sums import (
+    _WALK_TERMS,
+    Complete,
+    SumSpec,
+    _check_phase_args,
+    _lockstep_phases,
+    _residue_phases,
+    evaluate,
+)
 
 __all__ = [
     "SIGMA_X",
@@ -142,37 +155,111 @@ def pulse_propagator(pulse: PulseSpec) -> np.ndarray:
     return math.cos(pulse.theta / 2) * _IDENTITY - 1j * math.sin(pulse.theta / 2) * axis
 
 
-def _compose(a: complex, b: complex, a1: complex, b1: complex) -> tuple[complex, complex]:
-    """Pair of rotation (a1, b1) followed by (a, b), scaled to |a|^2 + |b|^2 = 1."""
-    a, b = a * a1 - b.conjugate() * b1, b * a1 + a.conjugate() * b1
-    norm = math.hypot(a.real, a.imag, b.real, b.imag)
-    return a / norm, b / norm
+# A pair's parts (a.real, a.imag, b.real, b.imag) as arrays of the same
+# shape, one element per pair; a.imag is None where a is a float, as a raw
+# pulse's cos(theta/2) is
+Pairs = tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray]
+
+# Merged pairs are normalized this many at a time, so that the Python floats
+# math.hypot reads stay small beside a block of pulses
+_HYPOT_PAIRS = 1 << 10
 
 
-def _train_rotation(
-    pulses: Iterable[tuple[float, float, float]],
-) -> tuple[complex, complex]:
-    """Cayley-Klein pair of a pulse train, first pulse applied first.
+def _product(xr, xi, yr, yi):
+    """The parts of x * y as CPython evaluates it, elementwise.
 
-    Each pulse is (cos(theta/2), sin(theta/2), phase), whose pair is
-    (cos(theta/2), -i*sin(theta/2)*exp(i*phase)).  The pulses stream into a
-    pairwise product tree kept on a binary-counter stack: the n-th pulse
-    merges once for every trailing zero bit of n, so the stack holds blocks
-    of strictly decreasing power-of-two length, earliest at the bottom, and
-    never more than log2(n) + 1 of them.
+    An imaginary part of None is a float's: two floats multiply as floats,
+    and a float meets a complex as complex(x, 0.0).
     """
-    stack: list[tuple[complex, complex]] = []
-    cos, sin = math.cos, math.sin
-    for n, (c, s, phase) in enumerate(pulses, 1):
-        pair = c, complex(s * sin(phase), -s * cos(phase))
-        while not n & 1:
-            pair = _compose(*pair, *stack.pop())
-            n >>= 1
-        stack.append(pair)
-    a, b = 1 + 0j, 0j
-    while stack:
-        a, b = _compose(a, b, *stack.pop())
-    return a, b
+    if xi is None and yi is None:
+        return xr * yr, None
+    xi = 0.0 if xi is None else xi
+    yi = 0.0 if yi is None else yi
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _hypots(parts: tuple[np.ndarray, ...]) -> np.ndarray:
+    """math.hypot of each element's parts, _HYPOT_PAIRS elements at a time."""
+    flat = [np.ravel(part) for part in parts]
+    norms = np.empty(flat[0].shape)
+    for start in range(0, len(norms), _HYPOT_PAIRS):
+        chunk = [part[start:start + _HYPOT_PAIRS].tolist() for part in flat]
+        norms[start:start + _HYPOT_PAIRS] = list(map(math.hypot, *chunk))
+    return norms.reshape(parts[0].shape)
+
+
+def _compose(later: Pairs, earlier: Pairs) -> Pairs:
+    """Each pair of `earlier` followed by its pair in `later`, scaled to |a|^2 + |b|^2 = 1.
+
+    The bits of CPython's (a, b) = (a * a1 - conj(b) * b1, b * a1 +
+    conj(a) * b1), then of a / norm and b / norm, where the norm is
+    math.hypot of the four parts and complex / float divides by
+    complex(norm, 0.0).  numpy's complex product can round otherwise, so
+    every product is spelled out in real arrays.
+    """
+    ar, ai, br, bi = later
+    ar1, ai1, br1, bi1 = earlier
+    aa_r, aa_i = _product(ar, ai, ar1, ai1)
+    bb_r, bb_i = _product(br, -bi, br1, bi1)
+    ba_r, ba_i = _product(br, bi, ar1, ai1)
+    ab_r, ab_i = _product(ar, None if ai is None else -ai, br1, bi1)
+    parts = (aa_r - bb_r, (0.0 if aa_i is None else aa_i) - bb_i, ba_r + ab_r, ba_i + ab_i)
+    norm = _hypots(parts)
+    re_a, im_a, re_b, im_b = parts
+    return (
+        (re_a + im_a * 0.0) / norm, (im_a - re_a * 0.0) / norm,
+        (re_b + im_b * 0.0) / norm, (im_b - re_b * 0.0) / norm,
+    )
+
+
+def _rows(pairs: Pairs, index: slice) -> Pairs:
+    return tuple(None if part is None else part[index] for part in pairs)
+
+
+def _stacked(first: Pairs, rest: Pairs) -> Pairs:
+    return tuple(None if x is None else np.concatenate([x, y]) for x, y in zip(first, rest))
+
+
+def _train_rotations(
+    blocks: Iterable[tuple[Any, Any, np.ndarray]], trains: int
+) -> tuple[list[complex], list[complex]]:
+    """Cayley-Klein pairs of pulse trains run in lockstep, first pulse applied first.
+
+    Each block is (cos(theta/2), sin(theta/2), phases): the phases have one
+    row per pulse and one column per train, and the cos and sin are floats
+    or columns of one value per row.  A pulse's pair is (cos(theta/2),
+    -i*sin(theta/2)*exp(i*phase)).  The pairs reduce as a pairwise tree, a
+    level at a time: at each level adjacent pairs merge, earlier then
+    later, and an odd last pair waits for the next block at that level, so
+    any block width builds the same tree, aligned power-of-two runs of
+    pulses.  The pairs left waiting, one level each at most, fold into the
+    identity latest first.  Every merge is renormalized, so rounding grows
+    with the depth of the tree, log2 of the train length, and memory is a
+    block plus a pair per train and level.
+    """
+    waiting: list[Pairs | None] = []
+    for cos, sin, phases in blocks:
+        level: Pairs = (
+            np.broadcast_to(cos, phases.shape), None, sin * np.sin(phases), -sin * np.cos(phases),
+        )
+        for k in count():
+            if k == len(waiting):
+                waiting.append(None)
+            if waiting[k] is not None:
+                level, waiting[k] = _stacked(waiting[k], level), None
+            size = len(level[0])
+            if size % 2:  # a copy, so that the rest of the level can go
+                waiting[k] = tuple(None if p is None else p[-1:].copy() for p in level)
+            if size < 2:
+                break
+            pairs = size - size % 2
+            level = _compose(_rows(level, slice(1, pairs, 2)), _rows(level, slice(0, pairs, 2)))
+    ones, zeros = np.ones((1, trains)), np.zeros((1, trains))
+    rotation: Pairs = (ones, zeros, zeros, zeros)
+    for pairs in filter(None, waiting):
+        rotation = _compose(rotation, pairs)
+    ar, ai, br, bi = (part[0].tolist() for part in rotation)
+    return list(map(complex, ar, ai)), list(map(complex, br, bi))
 
 
 def apply_sequence(seq: PulseSequence, initial: SpinState) -> SpinState:
@@ -185,9 +272,14 @@ def apply_sequence(seq: PulseSequence, initial: SpinState) -> SpinState:
     """
     if not isinstance(initial, SpinState):
         raise ValueError("initial state must be a SpinState")
-    a, b = _train_rotation(
-        (math.cos(p.theta / 2), math.sin(p.theta / 2), p.phase) for p in seq.pulses
+    halves = np.fromiter(map(attrgetter("theta"), seq.pulses), float, len(seq))[:, None] / 2
+    phases = np.fromiter(map(attrgetter("phase"), seq.pulses), float, len(seq))[:, None]
+    blocks = (
+        (np.cos(halves[k:k + _WALK_TERMS]), np.sin(halves[k:k + _WALK_TERMS]),
+         phases[k:k + _WALK_TERMS])
+        for k in range(0, len(seq), _WALK_TERMS)
     )
+    (a,), (b,) = _train_rotations(blocks, 1)
     u = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
     return SpinState(u @ initial.rho @ u.conj().T)
 
@@ -229,9 +321,33 @@ def simulate_experiment(
     my = -Im(a*conj(b)).  A pair whose norm, the trace of the final state,
     is not 1 raises ValueError, so drift cannot pass silently.
     """
+    return next(_readings(N, (l,), spec, theta))
+
+
+def _readings(
+    N: int, ls: Sequence[int], spec: SumSpec, theta: float
+) -> Iterator[MagnetizationReading]:
+    """simulate_experiment at each l of ls, in order, as they are read.
+
+    A term set that is the same for every l, as truncated and randomized
+    ones are, runs every l's train in lockstep through one kernel call;
+    the complete sum runs a train per l.  A reading that fails its checks
+    raises when it is read, after the readings of the l before it.
+    """
     if not theta > 0:
         raise ValueError(f"flip angle must be positive, got {theta}")
-    terms = spec.strategy.terms(l)
+    if isinstance(spec.strategy, Complete):
+        for l in ls:
+            yield from _lockstep_readings(N, (l,), spec, theta)
+    else:
+        yield from _lockstep_readings(N, ls, spec, theta)
+
+
+def _lockstep_readings(
+    N: int, ls: Sequence[int], spec: SumSpec, theta: float
+) -> Iterator[MagnetizationReading]:
+    """The readings of trains over one term set, one train per l of ls."""
+    terms = spec.strategy.terms(ls[0])
     total = theta * len(terms)
     if total > math.pi / 2:
         raise ValueError(
@@ -242,22 +358,23 @@ def simulate_experiment(
         warnings.warn(
             f"total flip angle {total:.4f} above 0.5; "
             "expect visible deviation from the analytic sum",
-            stacklevel=2,
+            stacklevel=4,
         )
-    phases = _residue_phases(N, l, spec.order, terms)
-    a, b = _train_rotation(
-        zip(repeat(math.cos(theta / 2)), repeat(math.sin(theta / 2)), phases)
-    )
-    # the rotated pure up state is [[|a|^2, a*conj(b)], [conj(a)*b, |b|^2]]:
-    # Hermitian by construction, eigenvalues 0 and its trace |a|^2 + |b|^2
-    trace = abs(a) ** 2 + abs(b) ** 2
-    if abs(trace - 1) > _TRACE_TOL:
-        raise ValueError(f"density matrix trace {trace} is not 1")
-    coherence = a * b.conjugate()
-    mx, my = coherence.real, -coherence.imag
-    transverse = math.hypot(mx, my)
+    _check_phase_args(N, min(ls), spec.order)
+    cos, sin = math.cos(theta / 2), math.sin(theta / 2)
+    phases = _lockstep_phases(N, ls, spec.order, terms)
+    rotations = _train_rotations(((cos, sin, block) for block in phases), len(ls))
     reference = 0.5 * math.sin(total)
-    return MagnetizationReading(mx, my, transverse, transverse / reference)
+    for a, b in zip(*rotations):
+        # the rotated pure up state is [[|a|^2, a*conj(b)], [conj(a)*b, |b|^2]]:
+        # Hermitian by construction, eigenvalues 0 and its trace |a|^2 + |b|^2
+        trace = abs(a) ** 2 + abs(b) ** 2
+        if abs(trace - 1) > _TRACE_TOL:
+            raise ValueError(f"density matrix trace {trace} is not 1")
+        coherence = a * b.conjugate()
+        mx, my = coherence.real, -coherence.imag
+        transverse = math.hypot(mx, my)
+        yield MagnetizationReading(mx, my, transverse, transverse / reference)
 
 
 def small_angle_error(N: int, l: int, spec: SumSpec, theta: float) -> float:

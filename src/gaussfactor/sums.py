@@ -179,15 +179,20 @@ def _phases(a: int, q: int, n: int, ms: Iterable[int]) -> Iterator[float]:
     return (math.pi * ((pow(m, n, q2) * a) % q2 / q) for m in ms)
 
 
+def _check_phase_args(N: int, l: int, n: int) -> None:
+    """The checks every residue phase needs: a trial factor l, an order n and N >= 0."""
+    _check_trial(l)
+    _check_order(n)
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+
+
 def _residue_phases(N: int, l: int, n: int, ms: Iterable[int]) -> Iterator[float]:
     """The phases 2*pi*frac(m**n * N / l) for m in ms, in order.
 
     N, l and n are checked before the first phase is asked for.
     """
-    _check_trial(l)
-    _check_order(n)
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
+    _check_phase_args(N, l, n)
     # pi * 2r/l rounds exactly as tau * (r/l): scaling by 2 is exact
     return _phases(2 * (N % l), l, n, ms)
 

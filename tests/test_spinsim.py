@@ -32,7 +32,8 @@ from gaussfactor import (
     thermal_state,
 )
 from gaussfactor.cli import main
-from gaussfactor.ghost import N_TWELVE_DIGIT, WINDOW_TWELVE_DIGIT
+from gaussfactor.ghost import N_SEVENTEEN_DIGIT, N_TWELVE_DIGIT, WINDOW_TWELVE_DIGIT
+from oracles import train_rotation
 
 FULL19 = SumSpec(FullTruncation(19))
 FACTOR_L = 1299709
@@ -160,6 +161,77 @@ class TestApplySequence:
         assert np.abs(got - want).max() <= 1e-14
 
 
+def _hexes(a: complex, b: complex) -> list[str]:
+    return [float.hex(x) for x in (a.real, a.imag, b.real, b.imag)]
+
+
+@st.composite
+def _train_lengths(draw, rows: int) -> int:
+    """1 to two blocks of `rows` pulses and two more, often at 2**k, 2**k +- 1 or a block's edge."""
+    top = 2 * rows + 2
+    near_power = st.builds(
+        lambda k, d: max(1, 2**k + d),
+        st.integers(0, (top - 1).bit_length() - 1), st.integers(-1, 1),
+    )
+    edges = st.sampled_from([rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, top - 1, top])
+    return draw(st.one_of(st.integers(1, top), st.integers(rows, top), near_power, edges))
+
+
+class TestLevelKernel:
+    """The level-at-a-time tree holds the one-pulse-at-a-time loop's bits."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_lockstep_trains_match_the_reference_loop(self, data):
+        trains = data.draw(st.integers(1, 40), label="trains")
+        # a lockstep block holds this many pulses of every train
+        rows = sums._WALK_TERMS // trains
+        length = data.draw(_train_lengths(rows), label="length")
+        order = data.draw(st.integers(2, 5), label="order")
+        theta = data.draw(st.floats(1e-8, 3.0), label="theta")
+        N, lo = data.draw(st.one_of(
+            # a window holding the factor 1299709, whose phases are all 0
+            st.integers(0, trains - 1).map(lambda k: (N_TWELVE_DIGIT, FACTOR_L - k)),
+            st.integers(2, 10**7).map(lambda lo: (N_TWELVE_DIGIT, lo)),
+            # l up to 2**32 and past it, on the exact-int phase path
+            st.integers(0, trains).map(lambda k: (N_SEVENTEEN_DIGIT, 2**32 - k)),
+        ), label="N, lo")
+        ls, ms = range(lo, lo + trains), range(length)
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        blocks = ((c, s, block) for block in sums._lockstep_phases(N, ls, order, ms))
+        got = spinsim._train_rotations(blocks, trains)
+        for l, a, b in zip(ls, *got):
+            pulses = ((c, s, phase) for phase in sums._residue_phases(N, l, order, ms))
+            assert _hexes(a, b) == _hexes(*train_rotation(pulses)), l
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_apply_sequence_matches_the_reference_loop(self, data):
+        # a pulse's own theta sets its cos and sin, negative past theta = pi;
+        # the block width is drawn too, as any width must build the same tree
+        width = data.draw(st.sampled_from([2, 3, 5, 8, 64, sums._WALK_TERMS]), label="width")
+        length = data.draw(_train_lengths(width), label="length")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
+        thetas = rng.uniform(1e-6, 2 * math.pi, length).tolist()
+        # eighth turns, or phase 0 throughout, as a factor's train: signed zeros
+        eighths = data.draw(st.sampled_from([1, 8]), label="eighths")
+        turns = (rng.integers(0, eighths, length) * (math.pi / 4)).tolist()
+        seq = PulseSequence(tuple(map(PulseSpec, thetas, turns)))
+        kernel, rotations = spinsim._train_rotations, []
+
+        def spy(blocks, trains):
+            rotations.append(kernel(blocks, trains))
+            return rotations[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spinsim, "_WALK_TERMS", width)
+            patch.setattr(spinsim, "_train_rotations", spy)
+            apply_sequence(seq, thermal_state())
+        ((a,), (b,)), = rotations
+        pulses = ((math.cos(p.theta / 2), math.sin(p.theta / 2), p.phase) for p in seq.pulses)
+        assert _hexes(a, b) == _hexes(*train_rotation(pulses))
+
+
 class TestFromSumSpec:
     def test_full_truncation_phases(self):
         seq = PulseSequence.from_sum_spec(15, 4, SumSpec(FullTruncation(6)), 0.01)
@@ -252,7 +324,10 @@ class TestSimulateExperiment:
     def test_drifted_rotation_is_refused(self, monkeypatch, capsys):
         # a pair of norm 1 + 1e-9 is a final state of trace 1 + 1e-9
         drifted = (math.sqrt(1 + 1e-9) + 0j, 0j)
-        monkeypatch.setattr(spinsim, "_train_rotation", lambda pulses: drifted)
+        monkeypatch.setattr(
+            spinsim, "_train_rotations",
+            lambda blocks, trains: ([drifted[0]] * trains, [drifted[1]] * trains),
+        )
         with pytest.raises(ValueError, match="trace"):
             simulate_experiment(N_TWELVE_DIGIT, NONFACTOR_L, FULL19, 0.002)
         code = main([
@@ -263,6 +338,26 @@ class TestSimulateExperiment:
         assert code == 3
         assert err.startswith("domain error: density matrix trace ")
         assert "Traceback" not in err
+
+    def test_drifted_trial_of_a_window_is_named(self, monkeypatch, capsys):
+        # the window's trains run in lockstep; the sixth one drifts, and the
+        # error names its l after the five readings before it pass
+        kernel = spinsim._train_rotations
+
+        def drift_sixth(blocks, trains):
+            a, b = kernel(blocks, trains)
+            a[5] *= math.sqrt(1 + 1e-9)
+            return a, b
+
+        monkeypatch.setattr(spinsim, "_train_rotations", drift_sixth)
+        code = main([
+            "simulate", "--n", str(N_TWELVE_DIGIT), "--window", "1299700:1299720",
+            "--truncation", "19", "--theta", "0.002",
+        ])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: density matrix trace ")
+        assert err.endswith(f"(N={N_TWELVE_DIGIT}, l=1299705)\n")
 
     def test_reading_guards(self):
         with pytest.raises(ValueError):
