@@ -419,6 +419,7 @@ def _run_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]
         raise ValidationError(f"--theta: must be finite and positive, got {args.theta}")
     spec = _flag_spec(args)
     ls = range(lo, hi + 1)
+    # a block of one row each, so that a reading's error names its own l
     rows = (
         [[str(l), epsilon(n_value, l).value, r.mx, r.my,
           r.transverse_magnitude, r.normalized_signal, len(spec.strategy.terms(l))]]
