@@ -331,50 +331,42 @@ def _readings(
 
     A term set that is the same for every l, as truncated and randomized
     ones are, runs every l's train in lockstep through one kernel call;
-    the complete sum runs a train per l.  A reading that fails its checks
-    raises when it is read, after the readings of the l before it.
+    the complete sum, whose terms are the residues of l, runs a train per
+    l.  A reading that fails its checks raises when it is read, after the
+    readings of the l before it.
     """
     if not theta > 0:
         raise ValueError(f"flip angle must be positive, got {theta}")
-    if isinstance(spec.strategy, Complete):
-        for l in ls:
-            yield from _lockstep_readings(N, (l,), spec, theta)
-    else:
-        yield from _lockstep_readings(N, ls, spec, theta)
-
-
-def _lockstep_readings(
-    N: int, ls: Sequence[int], spec: SumSpec, theta: float
-) -> Iterator[MagnetizationReading]:
-    """The readings of trains over one term set, one train per l of ls."""
-    terms = spec.strategy.terms(ls[0])
-    total = theta * len(terms)
-    if total > math.pi / 2:
-        raise ValueError(
-            f"total flip angle {total:.4f} exceeds pi/2; "
-            "the small-angle readout is meaningless there"
-        )
-    if total > 0.5:
-        warnings.warn(
-            f"total flip angle {total:.4f} above 0.5; "
-            "expect visible deviation from the analytic sum",
-            stacklevel=4,
-        )
-    _check_phase_args(N, min(ls), spec.order)
-    cos, sin = math.cos(theta / 2), math.sin(theta / 2)
-    phases = _lockstep_phases(N, ls, spec.order, terms)
-    rotations = _train_rotations(((cos, sin, block) for block in phases), len(ls))
-    reference = 0.5 * math.sin(total)
-    for a, b in zip(*rotations):
-        # the rotated pure up state is [[|a|^2, a*conj(b)], [conj(a)*b, |b|^2]]:
-        # Hermitian by construction, eigenvalues 0 and its trace |a|^2 + |b|^2
-        trace = abs(a) ** 2 + abs(b) ** 2
-        if abs(trace - 1) > _TRACE_TOL:
-            raise ValueError(f"density matrix trace {trace} is not 1")
-        coherence = a * b.conjugate()
-        mx, my = coherence.real, -coherence.imag
-        transverse = math.hypot(mx, my)
-        yield MagnetizationReading(mx, my, transverse, transverse / reference)
+    runs = ((l,) for l in ls) if isinstance(spec.strategy, Complete) else (ls,)
+    for run in runs:
+        terms = spec.strategy.terms(run[0])
+        total = theta * len(terms)
+        if total > math.pi / 2:
+            raise ValueError(
+                f"total flip angle {total:.4f} exceeds pi/2; "
+                "the small-angle readout is meaningless there"
+            )
+        if total > 0.5:
+            warnings.warn(
+                f"total flip angle {total:.4f} above 0.5; "
+                "expect visible deviation from the analytic sum",
+                stacklevel=3,
+            )
+        _check_phase_args(N, min(run), spec.order)
+        cos, sin = math.cos(theta / 2), math.sin(theta / 2)
+        phases = _lockstep_phases(N, run, spec.order, terms)
+        rotations = _train_rotations(((cos, sin, block) for block in phases), len(run))
+        reference = 0.5 * math.sin(total)
+        for a, b in zip(*rotations):
+            # the rotated pure up state is [[|a|^2, a*conj(b)], [conj(a)*b, |b|^2]]:
+            # Hermitian by construction, eigenvalues 0 and its trace |a|^2 + |b|^2
+            trace = abs(a) ** 2 + abs(b) ** 2
+            if abs(trace - 1) > _TRACE_TOL:
+                raise ValueError(f"density matrix trace {trace} is not 1")
+            coherence = a * b.conjugate()
+            mx, my = coherence.real, -coherence.imag
+            transverse = math.hypot(mx, my)
+            yield MagnetizationReading(mx, my, transverse, transverse / reference)
 
 
 def small_angle_error(N: int, l: int, spec: SumSpec, theta: float) -> float:
