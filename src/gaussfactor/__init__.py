@@ -48,9 +48,6 @@ from .ghost import (
     scan_window,
 )
 from .spinsim import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     MagnetizationReading,
     PulseSequence,
     PulseSpec,
@@ -63,6 +60,14 @@ from .spinsim import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """spinsim's SIGMA_X, SIGMA_Y and SIGMA_Z: numpy arrays, so made on first use."""
+    if name in ("SIGMA_X", "SIGMA_Y", "SIGMA_Z"):
+        return getattr(spinsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Epsilon",

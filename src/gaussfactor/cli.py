@@ -3,7 +3,9 @@ studies, spin simulation, and figure-data reproduction.
 
 Output is CSV (default) or JSON, written to a path or stdout.  Runs with the
 same arguments, including seeds, produce byte-identical output.  Exit codes:
-0 success, 1 validation failure, 2 I/O failure, 3 numeric domain error.
+0 success, 1 validation failure, 2 I/O or resource failure (memory ran out,
+or numpy, which runs the heavy kernel calls, could not be imported), 3
+numeric domain error.
 """
 from __future__ import annotations
 
@@ -584,6 +586,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         # numeric domain violations raised by the computation itself
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError says how much it could not allocate
+        print(f"resource error: out of memory{f' ({exc})' if str(exc) else ''}", file=sys.stderr)
+        return 2
+    except ImportError as exc:
+        # the one import a run makes is numpy's, at its first heavy kernel call
+        print(f"resource error: {exc}", file=sys.stderr)
+        return 2
     try:
         _write_output(text, args.output)
     except BrokenPipeError:

@@ -20,11 +20,9 @@ from .sums import (
     Randomized,
     SumSpec,
     SumValue,
-    _curlicue_phases,
-    _first_suppressed,
-    _lockstep_phases,
+    _curlicue_suppressed,
     _mean_columns,
-    _walk,
+    _residue_suppressed,
 )
 
 __all__ = [
@@ -160,8 +158,7 @@ def min_suppression_M(
         raise ValueError("eps = 0 is the factor case and never suppresses")
     if m_cap < 1:
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")
-    phases = _curlicue_phases(eps, n, range(m_cap + 1))
-    return _first_suppressed(_walk(phases), threshold + GHOST_SLACK)
+    return _curlicue_suppressed(eps, n, range(m_cap + 1), threshold + GHOST_SLACK)
 
 
 def scan_window(
@@ -234,8 +231,8 @@ def scaling_study(
             rows.append(ScalingRow(N, (l_min, l_max), 0.0, 0, root))
             continue
         worst = min((epsilon(N, l).magnitude for l in nonfactors))
-        phases = _lockstep_phases(N, nonfactors, n, range(m_cap + 1))
-        required = _first_suppressed(_walk(phases), threshold + GHOST_SLACK)
+        bar = threshold + GHOST_SLACK
+        required = _residue_suppressed(N, nonfactors, n, range(m_cap + 1), bar)
         rows.append(ScalingRow(N, (l_min, l_max), worst, required, root))
     return rows
 

@@ -10,6 +10,12 @@ trigonometry happens.  Evaluating 2*pi*m**2*N/l directly in floating point
 is catastrophically wrong for 17-digit N (the argument reaches 10**19 where
 doubles are spaced thousands apart), and that reduction is the single
 design decision everything else here leans on.
+
+Each sum has two executions with the same bits.  A kernel call of at most
+_SCALAR_TERMS terms runs here in scalar Python: _phases, math.cos and
+math.sin, then math.fsum, or exact prefix sums rounded once per prefix.  A
+larger one runs in the numpy blocks of _blocks, and only then is numpy
+imported.
 """
 from __future__ import annotations
 
@@ -17,11 +23,10 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, groupby, tee
+from itertools import accumulate, compress, count, repeat
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-import numpy as np
-
+from . import _blocks
 from .numtheory import _check_order, _check_trial, epsilon, jacobi
 from .rng import sample_without_replacement
 
@@ -50,18 +55,18 @@ COMPLETE_SUM_CAP = 10**7
 # A walk block holds at most this many (l, m) terms, so its arrays stay
 # near a megabyte however wide the window or long the walk.
 _WALK_TERMS = 1 << 13
-# A curlicue walk's first block, small so that its first values come early.
-_FIRST_TERMS = 1 << 5
-# Residues below l multiply to less than 2**64 while l <= 2**32.
-_UINT64_BOUND = 1 << 32
-# The low half of a uint64: _mul64 forms its products from 32-bit halves.
-_LOW32 = (1 << 32) - 1
-# A prefix sum is exact in int64 limbs of units 2**-_SHIFTS[j], 55 bits
-# apart: a head in units of 8, then 2**-52, 2**-107 and on, down to
-# 2**-1097, below the least subnormal.  Limbs of one term are below 2**54,
-# so int64 sums over _SUB_TERMS rows cannot overflow.
-_SHIFTS = tuple(55 * j - 3 for j in range(21))
-_SUB_TERMS = 256
+# A kernel call of at most this many terms runs in scalar Python, a larger
+# one in numpy blocks.  Its terms are its l's times its m's for a run of
+# one-shot sums, its walks times their length for walks (the first M of a
+# search for the first suppressed M), and its trains times their pulses
+# for pulse trains.  Near it the two executions cost about the same: in
+# Python about 0.3 us a one-shot term, 2 us a walk term and 1.3 us a pulse,
+# in numpy about 0.1 to 0.4 ms a call on top of its terms.
+_SCALAR_TERMS = 256
+# Every float is a whole number of units of 2**-_ULP_BITS, the least
+# subnormal, so exact sums of floats are kept as integers in those units.
+_ULP_BITS = 1074
+_ONE = 1 << _ULP_BITS
 # A mean of unit terms may pass 1 by rounding, never by this much.
 _MAX_MAGNITUDE = 1.0 + 1e-9
 
@@ -197,402 +202,107 @@ def _residue_phases(N: int, l: int, n: int, ms: Iterable[int]) -> Iterator[float
     return _phases(2 * (N % l), l, n, ms)
 
 
-def _square_and_multiply(r, base, n: int, mul: Callable):
-    """r * base**n under the product mul, in O(log n) products."""
-    while True:
-        if n & 1:
-            r = mul(r, base)
-        if not (n := n >> 1):
-            return r
-        base = mul(base, base)
-
-
-def _mul64(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The 128-bit products a * b of uint64s as (high, low) limbs, from 32-bit halves."""
-    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
-    mid = a1 * b0
-    mid += a0 * b0 >> 32  # below (2**32 - 1) * 2**32, so no sum here wraps
-    high = a1 * b1
-    high += mid >> 32
-    mid &= _LOW32
-    mid += a0 * b1
-    high += mid >> 32
-    return high, a * b
-
-
-def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The products a * b mod 2**128 of (high, low) uint64 limb pairs."""
-    high, low = _mul64(a[1], b[1])
-    high += a[0] * b[1]
-    high += a[1] * b[0]
-    return high, low
-
-
-def _dyadic_floats(high: np.ndarray, low: np.ndarray, k: int) -> np.ndarray:
-    """(high * 2**64 + low) / 2**k for uint64 limbs, each rounded once, for k <= 1022.
-
-    The top 64 bits, above a shift s of high's bit length or one more (its
-    float's exponent), with a sticky bit for the rest, round to nearest as
-    the whole does: with s > 0 they are at least 2**63, so the sticky bit
-    lies below the rounding position.  One conversion, then an exact 2**(s - k).
-    numpy's uint64 shift by 64 gives 0, which the ends s = 0 and 64 use.
-    """
-    s = np.minimum(np.frexp(high.astype(np.float64))[1], 64).astype(np.uint64)
-    top = high << (64 - s)
-    top |= low >> s
-    top |= (low << (64 - s)) != 0
-    return np.ldexp(top.astype(np.float64), s.astype(np.int32) - k)
-
-
-def _dyadic_phases(p: int, k: int, n: int, m: np.ndarray) -> np.ndarray:
-    """pi * ((m**n * p) mod 2**(k + 1)) / 2**k for uint64 m, 0 <= p < 2**128 and k < 128.
-
-    The residue is formed mod 2**128 in two uint64 limbs and masked to
-    k + 1 bits.  m**n is taken as one limb where its wrap mod 2**64 does
-    not matter, k < 64, or cannot happen, n * bit_length(max m) <= 64.
-    """
-    if k < 64 or n * int(m.max()).bit_length() <= 64:
-        m, n = _square_and_multiply(m, m, n - 1, np.multiply), 1
-    high, low = _square_and_multiply(divmod(p, 1 << 64), (0, m), n, _mul128)
-    mask = (1 << k + 1) - 1
-    high &= mask >> 64
-    low &= mask % (1 << 64)
-    return math.pi * _dyadic_floats(high, low, k)
-
-
-def _curlicue_phases(eps: float, n: int, ms: Sequence[int]) -> Iterator[np.ndarray]:
-    """The phases pi*m**n*eps for m in ms, reduced mod 2*pi, in blocks.
-
-    Bit for bit the phases of _phases on the exact ratio p/2**k of eps:
-    the uint64 residues of _dyadic_phases, or _phases in exact ints for a
-    block where k >= 128 or some m lies outside [0, 2**64).  The first
-    block holds _FIRST_TERMS terms, and each next one twice as many up to
-    _WALK_TERMS.  eps and n are checked on the call.
-    """
+def _curlicue_ratio(eps: float, n: int) -> tuple[int, int]:
+    """eps as its exact ratio p/q, q a power of two, once eps and n pass a walk's checks."""
     if not math.isfinite(eps):
         raise ValueError(f"epsilon must be finite, got {eps}")
     _check_order(n)
-    n = operator.index(n)
-    p, q = eps.as_integer_ratio()
-    k = q.bit_length() - 1
-
-    def blocks() -> Iterator[np.ndarray]:
-        start, size = 0, min(_FIRST_TERMS, _WALK_TERMS)
-        while part := ms[start:start + size]:
-            start, size = start + size, min(2 * size, _WALK_TERMS)
-            ends = (part[0], part[-1]) if isinstance(part, range) else part
-            if k < 128 and 0 <= min(ends) and max(ends) < 2**64:
-                yield _dyadic_phases(p % (2 * q), k, n, _uint64s(part))
-            else:
-                yield np.array(list(_phases(p, q, n, part)))
-
-    return blocks()
+    return eps.as_integer_ratio()
 
 
-def _split(x: np.ndarray, least: int) -> np.ndarray:
-    """int64 limbs a_1, a_2, ... with x = sum_j a_j * 2**-_SHIFTS[j] exactly, for x in [-1, 1].
+def _fsums(phases: Iterable[float]) -> tuple[float, float]:
+    """math.fsum of the cos and of the sin of the phases: one sum, rounded once."""
+    phases = list(phases)
+    return math.fsum(map(math.cos, phases)), math.fsum(map(math.sin, phases))
 
-    a_1 = rint(x * 2**52), so |a_1| <= 2**52, and each later limb rounds
-    what is left, scaled by 2**55, so |a_j| <= 2**54.  Every step is exact:
-    it scales by powers of 2 and takes the bits of a float apart.  There
-    are `least` limbs, and more while anything is left: x = 0 and 2**-55 <=
-    |x| end at a_2, whose unit 2**-107 is their last bit or below it; a
-    tinier x, such as sin of a tiny phase, takes more.  Limbs stack along
-    axis 0; x is overwritten.
+
+def _short(ms: Sequence[int]) -> bool:
+    """Whether a walk over ms has at most _SCALAR_TERMS terms; len(ms) may pass 2**63."""
+    return len(ms[:_SCALAR_TERMS + 1]) <= _SCALAR_TERMS
+
+
+def _exact_walk(a: int, q: int, n: int, ms: Iterable[int]) -> Iterator[tuple[float, ...]]:
+    """(cos, sin, real sum, imaginary sum) at each term of the walk over _phases(a, q, n, ms).
+
+    The sums run through the term, exactly, as integers in units of
+    2**-_ULP_BITS, and each is rounded once, by an int true division: the
+    fsum of the terms up to it.
     """
-    rest = x
-    rest *= 2.0**52
-    limbs = np.empty((least, *x.shape), np.int64)
-    for j, limb in enumerate(limbs):
-        if j:
-            rest *= 2.0**55
-        np.rint(rest, out=limb, casting="unsafe")
-        rest -= limb
-    more = []
-    while rest.any():
-        rest *= 2.0**55
-        more.append(np.rint(rest))
-        rest -= more[-1]
-    return np.concatenate([limbs, np.array(more, np.int64)]) if more else limbs
+    re = im = 0
+    for phase in _phases(a, q, n, ms):
+        c, s = math.cos(phase), math.sin(phase)
+        p, d = c.as_integer_ratio()
+        re += p << _ULP_BITS + 1 - d.bit_length()
+        p, d = s.as_integer_ratio()
+        im += p << _ULP_BITS + 1 - d.bit_length()
+        yield c, s, re / _ONE, im / _ONE
 
 
-def _normalize(limbs: np.ndarray) -> None:
-    """Carry each limb past the head into about [0, 2**55) by shifts, in place.
+# Float prefix sums of M + 1 terms in [-1, 1], added in order, lie within
+# M * (M + 1) * 2**-53 of the exact sums, and the correctly rounded sums
+# within (M + 1) * 2**-53 of them.  So a magnitude over M + 1 formed from
+# the float sums lies within sqrt(2) * (M + 1) * 2**-53 of the one formed
+# from the rounded sums, before a few ulps of forming each, and one more
+# than _NEAR_UNIT * (M + 1) from the bar is on the same side either way.
+_NEAR_UNIT = 2.0**-45
 
-    limbs stack along axis 0 as _SHIFTS lays them out.  One pass leaves
-    each limb within 2**8 of that range, so int64 sums of up to 2**7 of
-    them cannot overflow; the value stays exact.
+
+def _suppressed(cos: list[float], sin: list[float], bar: float) -> list[bool]:
+    """Whether |s_M| <= bar for each M < len(cos), for the walk with these terms.
+
+    |s_M| is math.hypot of the correctly rounded sums of the first M + 1
+    terms over M + 1.  It is decided on float prefix sums, and again by
+    fsum where those lie within _NEAR_UNIT * (M + 1) of the bar.
     """
-    high = limbs[1:] >> 55
-    limbs[1:] &= (1 << 55) - 1
-    limbs[:-1] += high
+    mags = map(operator.truediv, map(math.hypot, accumulate(cos), accumulate(sin)), count(1))
+    return [
+        mag <= bar if abs(mag - bar) > _NEAR_UNIT * (M + 1)
+        else math.hypot(math.fsum(cos[:M + 1]), math.fsum(sin[:M + 1])) / (M + 1) <= bar
+        for M, mag in enumerate(mags)
+    ]
 
 
-def _cumsum(a: np.ndarray) -> None:
-    """Inclusive prefix sums of an int64 array along axis 0, in place.
+def _first_suppressed_M(
+    walks: int, ms: range, phases: Callable[[range], Iterable[Iterable[float]]],
+    blocks: Callable[[], Iterable], bar: float,
+) -> int | None:
+    """First M at which every one of the walks has |s_M| <= bar, or None once ms ends.
 
-    np.cumsum runs one loop per column, which costs most on short, wide
-    arrays, such as lockstep blocks; those take a doubling scan instead,
-    log2(rows) whole-array adds.  Both are exact while no sum overflows.
+    The walks run over ms in lockstep, their terms exp(i * phase), and
+    s_M is the mean of a walk's first M + 1 terms, its magnitude math.hypot
+    of the correctly rounded sums over M + 1.  The first M, up to
+    _SCALAR_TERMS terms in all, are decided here, from phases(the first
+    m), the phases of each walk in turn.  If none of them is the answer,
+    _blocks decides every M by the same rule, from blocks(), the numpy
+    phase blocks of the same walks over ms.
     """
-    if 8 * len(a) > a[0].size:
-        np.cumsum(a, axis=0, out=a)
-        return
-    step = 1
-    while step < len(a):
-        a[step:] += a[:-step]
-        step *= 2
-
-
-# A magnitude formed in numpy from float sums differs from math.hypot's by a
-# few ulps at most, so one this many ulps of the bar away from it is on the
-# same side whichever one formed it
-_BAR_ULPS = 8
-# A walk's float prefix sums lie within 2**-51 * (M + 2) + 2**-43 of the
-# correctly rounded ones (_Sums.approx), so a magnitude formed from them
-# lies within sqrt(2) * (2**-50 + 2**-43) < 2**-42 of the one formed from
-# the rounded sums, before the roundings of forming it
-_APPROX_SLACK = 2.0**-40
-
-
-class _Sums:
-    """The exact prefix sums of a walk block, M - start along axis 0.
-
-    Columns hold the real parts of the block's walks, then their imaginary
-    parts.  Rows come in sub-blocks of equal length.  Row r of sub-block s
-    in column c sums, exactly, to heads[j, s, c] * 2**-_SHIFTS[j] over j
-    (the sum before the sub-block) plus limbs[j, s, r, c] *
-    2**-_SHIFTS[j + 1] over j (the sum within it, through row r).
-    """
-
-    def __init__(self, heads: np.ndarray, limbs: np.ndarray, size: int, start: int):
-        self.heads, self.limbs, self.size, self.start = heads, limbs, size, start
-        self.walks = limbs.shape[-1] // 2
-
-    def approx(self) -> tuple[np.ndarray, np.ndarray]:
-        """The real and imaginary prefix sums in float, each of shape (size, walks).
-
-        A row with M terms of its walk before it has a head of magnitude at
-        most M, whose float lies within 2**-52 * (M + 22) of it.  Within the
-        sub-block, the first limb adds at most 256, rounded within 2**-45,
-        and the later limbs add at most 2**-45, left out.  With the final
-        rounding and the one of the correctly rounded sum, this lies within
-        2**-51 * (M + 2) + 2**-43 of the correctly rounded sum.
-        """
-        head = self.heads[0] * 8.0 + self.heads[1] * 2.0**-52 + self.heads[2] * 2.0**-107
-        v = self.limbs[0] * 2.0**-52
-        v += head[:, None]
-        v = v.reshape(-1, v.shape[-1])[:self.size]
-        return v[:, :self.walks], v[:, self.walks:]
-
-    def rounded(self, i: int, c: int = 0) -> tuple[float, float]:
-        """Row i of walk c, its real and imaginary parts rounded correctly."""
-        s, r = divmod(i, self.limbs.shape[2])
-        return self._rounded(s, r, c), self._rounded(s, r, self.walks + c)
-
-    def last(self) -> tuple[list[float], list[float]]:
-        """The last row's real and imaginary parts, one per walk, each rounded correctly."""
-        s, r = divmod(self.size - 1, self.limbs.shape[2])
-        row = self._rounded(s, r, slice(None)).tolist()
-        return row[:self.walks], row[self.walks:]
-
-    def partials(self) -> Iterator[complex]:
-        """A one-walk block's prefix sums in order, rounded a sub-block at a time, when read."""
-        for s in range(self.limbs.shape[1]):
-            parts = self._rounded(s, slice(None), slice(None)).astype(np.float64)
-            yield from parts.view(np.complex128)[:, 0].tolist()
-
-    def _rounded(self, s: int, rows: int | slice, cols: int | slice):
-        """Rows of sub-block s in columns cols, each rounded once from its exact integer.
-
-        Python's int true division rounds correctly, so each is the fsum of
-        the terms it sums.
-        """
-        unit = _SHIFTS[len(self.heads) - 1]
-        lifts = [unit - shift for shift in _SHIFTS[:len(self.heads)]]
-        exact = sum(map(operator.lshift, self.heads[:, s, cols].astype(object), lifts))
-        for limb, lift in zip(self.limbs[:, s, rows, cols].astype(object), lifts[1:]):
-            exact = exact + (limb << lift)  # Python ints, elementwise
-        return exact / (1 << unit)
-
-
-def _first_suppressed(walk: Iterable[_Sums], bar: float) -> int | None:
-    """First M at which every walk has |s_M| <= bar, or None once they end.
-
-    walk yields _walk's blocks of prefix sums, M along axis 0 and one
-    column per walk run in lockstep.  s_M is the mean of a walk's first
-    M + 1 terms, its magnitude math.hypot of the correctly rounded sums over
-    M + 1.  Each block is decided on the float approximations of its sums;
-    a magnitude within _APPROX_SLACK and _BAR_ULPS of the bar is decided
-    again from the exact sums, so the answer is the one the correctly
-    rounded sums give.
-    """
-    near = _APPROX_SLACK + _BAR_ULPS * np.spacing(abs(bar))
-
-    def first(sums: _Sums) -> int | None:
-        re, im = sums.approx()  # fresh arrays, squared in place
-        mags = np.square(re, out=re)
-        mags += np.square(im, out=im)
-        np.sqrt(mags, out=mags)
-        mags /= np.arange(sums.start + 1, sums.start + len(mags) + 1)[:, None]
-        below = mags <= bar
-        gap = np.abs(np.subtract(mags, bar, out=im), out=im)
-        for M, col in zip(*np.nonzero(gap <= near)):
-            below[M, col] = math.hypot(*sums.rounded(M, col)) / (sums.start + M + 1) <= bar
-        done = below.all(axis=1)
-        return sums.start + int(done.argmax()) if done.any() else None
-
-    # through map, so that no block outlives its turn
-    for M in map(first, walk):
-        if M is not None:
+    head = ms[:_SCALAR_TERMS // walks]
+    if head:
+        terms = []
+        for column in map(list, phases(head)):
+            terms += [list(map(math.cos, column)), list(map(math.sin, column))]
+        below = map(all, zip(*map(_suppressed, terms[::2], terms[1::2], repeat(bar))))
+        M = next(compress(count(), below), None)
+        if M is not None or len(head) == len(ms):
             return M
-    return None
+    return _blocks._first_suppressed(_blocks._walk(blocks()), bar)
 
 
-def _prefix_sums(x: np.ndarray, carry: np.ndarray, start: int) -> tuple[_Sums, np.ndarray]:
-    """The exact prefix sums of x's columns after carry, and the carry past x.
-
-    x is overwritten.  carry stacks the limbs of one exact value per
-    column, as _normalize leaves them.  x's rows are cut into sub-blocks of
-    at most _SUB_TERMS, the last one padded with zeros, and the limbs are
-    summed through each row of a sub-block, where no int64 sum can
-    overflow.  Each sub-block's head is the carry plus the totals of the
-    sub-blocks before it.  A fixed number of numpy calls, whatever the
-    shape.
-    """
-    size, width = x.shape
-    sub = min(size, _SUB_TERMS)
-    pad = -size % sub
-    if pad:
-        x = np.concatenate([x, np.zeros((pad, width))])
-    limbs = _split(x, len(carry) - 1)
-    limbs = limbs.reshape(len(limbs), -1, sub, width)
-    for limb in limbs:  # one at a time, so that a doubling scan's copies stay small
-        _cumsum(limb.swapaxes(0, 1))
-    totals = np.concatenate([np.zeros((1, limbs.shape[1], width), np.int64), limbs[:, :, -1]])
-    _normalize(totals)
-    if len(carry) < len(totals):
-        carry = np.concatenate([carry, np.zeros((len(totals) - len(carry), width), np.int64)])
-    bases = np.concatenate([carry[:, None], totals], axis=1)
-    _cumsum(bases.swapaxes(0, 1))
-    _normalize(bases)
-    return _Sums(bases[:, :-1], limbs, size, start), bases[:, -1]
+def _curlicue_suppressed(eps: float, n: int, ms: range, bar: float) -> int | None:
+    """_first_suppressed_M of the one curlicue walk over ms; eps and n are checked first."""
+    p, q = _curlicue_ratio(eps, n)
+    return _first_suppressed_M(
+        1, ms, lambda head: [_phases(p, q, n, head)],
+        lambda: _blocks._curlicue_phases(eps, n, ms), bar,
+    )
 
 
-def _summed(blocks: Iterable[np.ndarray]) -> Iterator[_Sums]:
-    """The exact prefix sums of each block of terms in [-1, 1], which it overwrites.
-
-    The package's one sum: a one-shot sum is the last of its prefix sums.
-    A block of terms has shape (k, 2) for
-    one walk or (k, 2, walks) for walks run in lockstep: M along axis 0,
-    then the real and the imaginary part.  Exact totals carry across
-    blocks, so every prefix sum, rounded, is the fsum of the terms up to it.
-    """
-    carry, start = None, 0
-
-    def summed(terms: np.ndarray) -> _Sums:
-        nonlocal carry, start
-        x = terms.reshape(len(terms), -1)
-        if carry is None:
-            carry = np.zeros((3, x.shape[1]), np.int64)
-        sums, carry = _prefix_sums(x, carry, start)
-        start += len(x)
-        return sums
-
-    # map holds no block once it is handed on
-    return map(summed, blocks)
-
-
-def _terms(phases: np.ndarray) -> np.ndarray:
-    """cos(phase) and sin(phase) along a new axis 1, as _summed lays terms out.
-
-    np.cos and np.sin keep the bits of math.cos and math.sin.
-    """
-    terms = np.empty((len(phases), 2, *phases.shape[1:]))
-    np.cos(phases, out=terms[:, 0])
-    np.sin(phases, out=terms[:, 1])
-    return terms
-
-
-def _walk(blocks: Iterable[np.ndarray]) -> Iterator[_Sums]:
-    """The prefix sums of the walk whose terms are exp(i * phase), block by block of phases."""
-    return _summed(map(_terms, blocks))
-
-
-def _walk_totals(blocks: Iterable[np.ndarray]) -> tuple[list[float], list[float]]:
-    """The real and imaginary sums of each walk's terms, rounded correctly.
-
-    The walk is drained a block at a time: the loop holds one block while
-    the next is formed, where unpacking it as *_, last would hold them all.
-    """
-    for sums in _walk(blocks):
-        pass
-    return sums.last()
-
-
-def _uint64s(ms: Sequence[int]) -> np.ndarray:
-    """ms as uint64s: a range by np.arange, a drawn m-set by np.array."""
-    if isinstance(ms, range):
-        return np.arange(ms.start, ms.stop, ms.step, dtype=np.uint64)
-    return np.array(ms, dtype=np.uint64)
-
-
-def _uint64_residues(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
-    """(m**n * t) mod l for each t = N mod l in ts and l in ls (rows), m in ms (columns).
-
-    Square-and-multiply in uint64, so order n costs O(log n) array steps.
-    Every factor is reduced below l <= 2**32, so no product reaches 2**64.
-    A range of m is formed by np.arange, a drawn m-set by np.array.
-    """
-    l = np.asarray(ls, dtype=np.uint64)[:, None]
-    r = np.asarray(ts, dtype=np.uint64)[:, None]
-    return _square_and_multiply(r, _uint64s(ms) % l, n, lambda a, b: a * b % l)
-
-
-def _uint64_phases(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
-    """The phases of _residue_phases, one row per l < 2**32, from uint64 residues.
-
-    ts holds N mod l for each l.  pi * (2r / l) has the bits of _phases:
-    (m**n * 2t) mod 2l = 2r, and 2r and l convert to float exactly, so the
-    one rounding is the division.
-    """
-    phases = _uint64_residues(ts, ls, n, ms).astype(np.float64)
-    phases *= 2.0  # exact, as 2r < 2**33
-    phases /= np.asarray(ls, dtype=np.float64)[:, None]
-    phases *= math.pi
-    return phases
-
-
-def _bigint_phases(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) -> np.ndarray:
-    """The same phases for l >= 2**32, reduced in exact ints by _phases."""
-    return np.array([list(_phases(2 * t, l, n, ms)) for t, l in zip(ts, ls)], dtype=np.float64)
-
-
-def _phase_path(l: int) -> Callable[..., np.ndarray]:
-    """The kernel's one choice, made by l alone: uint64 residues or exact ints."""
-    return _uint64_phases if l < _UINT64_BOUND else _bigint_phases
-
-
-def _lockstep_phases(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> Iterator[np.ndarray]:
-    """The phases of _residue_phases for walks over ms in lockstep, one column per l.
-
-    Each block holds the next _WALK_TERMS // len(ls) values of m, or one,
-    along axis 0, as _walk reads them.  Each column is formed on its l's
-    kernel path, from N mod l formed once per walk.
-    """
-    runs = []
-    for phases, run in groupby(ls, _phase_path):
-        run = list(run)
-        ts = [N % l for l in run]
-        if phases is _uint64_phases:  # as arrays once per walk, not once per block
-            ts, run = np.array(ts, np.uint64), np.array(run, np.uint64)
-        runs.append((phases, ts, run))
-    columns = max(1, _WALK_TERMS // len(ls))
-    for start in count(0, columns):
-        part = ms[start:start + columns]
-        if not part:
-            return
-        yield np.concatenate([phases(ts, run, n, part) for phases, ts, run in runs]).T
+def _residue_suppressed(N: int, ls: Sequence[int], n: int, ms: range, bar: float) -> int | None:
+    """_first_suppressed_M of the residue walks of N over ms, one per l of ls, in lockstep."""
+    return _first_suppressed_M(
+        len(ls), ms, lambda head: (_phases(2 * (N % l), l, n, head) for l in ls),
+        lambda: _blocks._lockstep_phases(N, ls, n, ms), bar,
+    )
 
 
 def _residue_sums(
@@ -600,10 +310,12 @@ def _residue_sums(
 ) -> Iterator[tuple[list[int], list[float], list[float]]]:
     """The sums of exp(2*pi*i * m**n * N / l) over ms for each l in ls, as columns.
 
-    The one kernel behind every one-shot residue sum: each sum is the last
-    prefix of a walk over ms.  Runs of _WALK_TERMS // len(ms) consecutive l,
-    or one, walk in lockstep, and each run yields (its l, their real sums,
-    their imaginary sums).  N, n and the smallest l are checked first.
+    The one kernel behind every one-shot residue sum.  Runs of
+    _WALK_TERMS // len(ms) consecutive l, or one, are summed together, and
+    each run yields (its l, their real sums, their imaginary sums).  A run
+    of at most _SCALAR_TERMS terms is summed by fsum; a larger one walks in
+    lockstep in numpy, each sum the last prefix of its walk.  N, n and the
+    smallest l are checked first.
     """
     _check_order(n)
     if N < 0:
@@ -614,7 +326,10 @@ def _residue_sums(
     step = max(1, _WALK_TERMS // len(ms))
     for start in range(0, len(ls), step):
         run = ls[start:start + step]
-        yield (run, *_walk_totals(_lockstep_phases(N, run, n, ms)))
+        if len(run) * len(ms) <= _SCALAR_TERMS:
+            yield (run, *zip(*(_fsums(_phases(2 * (N % l), l, n, ms)) for l in run)))
+        else:
+            yield (run, *_blocks._walk_totals(_blocks._lockstep_phases(N, run, n, ms)))
 
 
 def _complete_mean(t: int, l: int) -> tuple[float, float]:
@@ -670,7 +385,11 @@ def curlicue_phase(m: int, n: int, p: int, q: int) -> float:
 def curlicue(eps: float, n: int, M: int) -> SumValue:
     """Normalized curlicue sum: mean of exp(i*pi*m**n*eps) for m = 0..M."""
     ms = FullTruncation(M).terms(0)  # m = 0..M for any l
-    (re,), (im,) = _walk_totals(_curlicue_phases(eps, n, ms))
+    p, q = _curlicue_ratio(eps, n)
+    if len(ms) <= _SCALAR_TERMS:
+        re, im = _fsums(_phases(p, q, n, ms))
+    else:
+        (re,), (im,) = _blocks._walk_totals(_blocks._curlicue_phases(eps, n, ms))
     return SumValue(re / len(ms), im / len(ms), len(ms))
 
 
@@ -742,31 +461,21 @@ def evaluate_many(N: int, ls: Iterable[int], spec: SumSpec) -> Iterator[SumValue
     )
 
 
-def residue_magnitudes(l: int, n: int, M: int) -> np.ndarray:
+def residue_magnitudes(l: int, n: int, M: int):
     """Truncated-sum magnitudes for every residue N mod l at once.
 
     Entry t equals truncated_sum(N, l, n, M).magnitude for any N with
     N mod l = t.  Useful for exhaustive factor-characterization sweeps;
     vectorized over int64, so l is capped at 10**9.  Every phase is
     pi * (k / l) for some k < 2l, so cos and sin are taken of those 2l
-    phases once and gathered by k.
+    phases once and gathered by k.  A numpy array, so numpy is imported.
     """
     _check_trial(l)
     _check_order(n)
     ms = FullTruncation(M).terms(l)
     if l > 10**9:
         raise ValueError(f"residue sweep over l={l} would overflow int64 products")
-    # k = pow(m, n, 2l) * 2t mod 2l, with pow(m, n, 2l) * 2t < 4 * l**2 <= 4e18 < 2**63
-    t2 = 2 * np.arange(l, dtype=np.int64)
-    phases = math.pi * (np.arange(2 * l) / l)
-    cos, sin = np.cos(phases), np.sin(phases)
-    acc_re = np.zeros(l)
-    acc_im = np.zeros(l)
-    for m in ms:
-        k = pow(m, n, 2 * l) * t2 % (2 * l)
-        acc_re += cos[k]
-        acc_im += sin[k]
-    return np.hypot(acc_re, acc_im) / len(ms)
+    return _blocks.residue_magnitudes(l, n, ms)
 
 
 def _curlicue_walk(eps: float, n: int, ms: Sequence[int]) -> Iterator[tuple[complex, complex]]:
@@ -775,13 +484,11 @@ def _curlicue_walk(eps: float, n: int, ms: Sequence[int]) -> Iterator[tuple[comp
     Each partial sum is rounded correctly when it is read.  eps and n are
     checked on the call.
     """
-    def pairs(terms: np.ndarray, sums: _Sums) -> Iterator[tuple[complex, complex]]:
-        terms, partials = terms.view(np.complex128)[:, 0], sums.partials()
-        for start in range(0, len(terms), _SUB_TERMS):
-            yield from zip(terms[start:start + _SUB_TERMS].tolist(), partials)
-
-    terms, copies = tee(map(_terms, _curlicue_phases(eps, n, ms)))
-    return chain.from_iterable(map(pairs, terms, _summed(t.copy() for t in copies)))
+    p, q = _curlicue_ratio(eps, n)
+    if _short(ms):
+        walk = _exact_walk(p, q, n, ms)
+        return ((complex(c, s), complex(re, im)) for c, s, re, im in walk)
+    return _blocks._curlicue_walk(eps, n, ms)
 
 
 def _curlicue_magnitudes(eps: float, n: int, ms: Sequence[int]) -> Iterator[float]:
@@ -790,7 +497,11 @@ def _curlicue_magnitudes(eps: float, n: int, ms: Sequence[int]) -> Iterator[floa
     math.hypot of each partial sum, rounded correctly when it is read, over
     M + 1.  eps and n are checked on the call.
     """
-    partials = chain.from_iterable(map(_Sums.partials, _walk(_curlicue_phases(eps, n, ms))))
+    p, q = _curlicue_ratio(eps, n)
+    if _short(ms):
+        walk = _exact_walk(p, q, n, ms)
+        return (math.hypot(re, im) / k for k, (*_, re, im) in enumerate(walk, 1))
+    partials = _blocks._curlicue_partials(eps, n, ms)
     return (math.hypot(s.real, s.imag) / k for k, s in enumerate(partials, 1))
 
 

@@ -1,8 +1,12 @@
 """Command-line behavior: schemas, formats, exit codes, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from itertools import islice
+from pathlib import Path
 
 import golden_corpus
 import pytest
@@ -14,7 +18,7 @@ import gaussfactor.cli as cli
 import gaussfactor.ghost as ghost
 import gaussfactor.numtheory as numtheory
 import gaussfactor.sums as sums
-from gaussfactor import iter_curlicue_magnitudes
+from gaussfactor import _blocks, iter_curlicue_magnitudes
 from gaussfactor.cli import (
     RESULT_HEADER,
     ResultRow,
@@ -28,6 +32,7 @@ from gaussfactor.ghost import GHOST_THRESHOLD
 
 N12 = "1689259081189"
 N17 = "32193216510801043"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the three subcommands that take strategy flags, with everything else valid
 STRATEGY_COMMANDS = {
@@ -535,6 +540,42 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "scan", "--n", N12, "--frobnicate")
         assert code == 1
+
+    def test_numpy_out_of_memory_is_a_resource_error(self, capsys, monkeypatch):
+        # numpy refuses an array of 2**60 bytes at once, with _ArrayMemoryError
+        def refuse(blocks):
+            return _blocks.np.empty(1 << 60, _blocks.np.uint8)
+
+        monkeypatch.setattr(_blocks, "_walk_totals", refuse)
+        code, out, err = run(capsys, "scan", "--n", N12, "--truncation", "19")
+        assert (code, out) == (2, "")
+        assert err.startswith("resource error: out of memory (Unable to allocate ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_address_space_limit_is_a_resource_error(self):
+        # the child's own address space is capped at what importing the CLI
+        # and numpy takes, plus 64 MiB; the list of 10**8 trial factors a
+        # scan forms first asks for far more, so it fails at once
+        resource = pytest.importorskip("resource")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        peak = subprocess.run(
+            [sys.executable, "-c", "import gaussfactor.cli, numpy\n"
+             "print(next(line.split()[1] for line in open('/proc/self/status')"
+             " if line.startswith('VmPeak:')))"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        limit = int(peak.stdout) * 1024 + (64 << 20)
+
+        def cap() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        argv = ["scan", "--n", N12, "--window", "2:100000001", "--truncation", "3"]
+        done = subprocess.run(
+            [sys.executable, "-m", "gaussfactor.cli", *argv], preexec_fn=cap,
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "resource error: out of memory\n"
 
 
 class TestReproduceFigure:

@@ -7,6 +7,7 @@ import pytest
 
 import gaussfactor.ghost as ghost
 import gaussfactor.sums as sums
+from gaussfactor import _blocks
 from gaussfactor import (
     Complete,
     FullTruncation,
@@ -192,7 +193,7 @@ class TestBarDecision:
     def blocks(partials: list) -> list:
         """One block of a walk with these partial sums, as sums._walk yields it."""
         terms = np.diff(np.array(partials), axis=0, prepend=0)
-        return list(sums._summed([np.stack([terms.real, terms.imag], axis=1)]))
+        return list(_blocks._summed([np.stack([terms.real, terms.imag], axis=1)]))
 
     def test_math_hypot_decides_at_the_bar(self):
         re, im = self.hypot_split()
@@ -202,7 +203,7 @@ class TestBarDecision:
             threshold = self.threshold_for(bar)
             want = 0 if by_math <= bar else None
             walk = self.blocks([complex(re, im)])
-            assert sums._first_suppressed(walk, threshold + GHOST_SLACK) == want
+            assert _blocks._first_suppressed(walk, threshold + GHOST_SLACK) == want
 
     def test_math_hypot_decides_in_lockstep_rows(self):
         re, im = self.hypot_split()
@@ -212,13 +213,13 @@ class TestBarDecision:
         # the split pair in the second row, doubled as a sum of two terms
         walk = [[1 + 1j, 1 + 1j], [0j, complex(2 * re, 2 * im)]]
         want = 1 if by_math <= threshold + GHOST_SLACK else None
-        assert sums._first_suppressed(self.blocks(walk), threshold + GHOST_SLACK) == want
+        assert _blocks._first_suppressed(self.blocks(walk), threshold + GHOST_SLACK) == want
 
     def test_exact_sum_decides_inside_the_error_bound(self):
         # 1/2 + (2**-54 + 2**-106) rounds up to 1/2 + 2**-53, but the float
         # approximation leaves out the limb below 2**-52 and reads 1/2; a
         # bar at 1/4 puts |s_1| above it and the approximation on it
-        walk = list(sums._summed([np.array([[0.5, 0.0], [2.0**-54 + 2.0**-106, 0.0]])]))
+        walk = list(_blocks._summed([np.array([[0.5, 0.0], [2.0**-54 + 2.0**-106, 0.0]])]))
         (block,) = walk
         approx = block.approx()[0][1, 0]
         exact = block.rounded(1)[0]
@@ -226,7 +227,7 @@ class TestBarDecision:
         assert abs(approx - exact) <= 2.0**-51 * (1 + 2) + 2.0**-43
         threshold = self.threshold_for(0.25)
         assert approx / 2 <= threshold + GHOST_SLACK < exact / 2
-        assert sums._first_suppressed(walk, threshold + GHOST_SLACK) is None
+        assert _blocks._first_suppressed(walk, threshold + GHOST_SLACK) is None
 
 
 class TestScanWindow:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import gaussfactor.spinsim as spinsim
 import gaussfactor.sums as sums
+from gaussfactor import _blocks
 from gaussfactor import (
     SIGMA_X,
     SIGMA_Y,
@@ -198,8 +199,8 @@ class TestLevelKernel:
         ), label="N, lo")
         ls, ms = range(lo, lo + trains), range(length)
         c, s = math.cos(theta / 2), math.sin(theta / 2)
-        blocks = ((c, s, block) for block in sums._lockstep_phases(N, ls, order, ms))
-        got = spinsim._train_rotations(blocks, trains)
+        blocks = ((c, s, block) for block in _blocks._lockstep_phases(N, ls, order, ms))
+        got = _blocks._train_rotations(blocks, trains)
         for l, a, b in zip(ls, *got):
             pulses = ((c, s, phase) for phase in sums._residue_phases(N, l, order, ms))
             assert _hexes(a, b) == _hexes(*train_rotation(pulses)), l
@@ -217,7 +218,7 @@ class TestLevelKernel:
         eighths = data.draw(st.sampled_from([1, 8]), label="eighths")
         turns = (rng.integers(0, eighths, length) * (math.pi / 4)).tolist()
         seq = PulseSequence(tuple(map(PulseSpec, thetas, turns)))
-        kernel, rotations = spinsim._train_rotations, []
+        kernel, rotations = _blocks._train_rotations, []
 
         def spy(blocks, trains):
             rotations.append(kernel(blocks, trains))
@@ -225,7 +226,7 @@ class TestLevelKernel:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spinsim, "_WALK_TERMS", width)
-            patch.setattr(spinsim, "_train_rotations", spy)
+            patch.setattr(_blocks, "_train_rotations", spy)
             apply_sequence(seq, thermal_state())
         ((a,), (b,)), = rotations
         pulses = ((math.cos(p.theta / 2), math.sin(p.theta / 2), p.phase) for p in seq.pulses)
@@ -322,10 +323,12 @@ class TestSimulateExperiment:
         assert abs(r.normalized_signal - analytic) <= (theta * l) ** 2 + 1e-9
 
     def test_drifted_rotation_is_refused(self, monkeypatch, capsys):
-        # a pair of norm 1 + 1e-9 is a final state of trace 1 + 1e-9
+        # a pair of norm 1 + 1e-9 is a final state of trace 1 + 1e-9; every
+        # train takes the numpy kernel, whose pairs are drifted here
         drifted = (math.sqrt(1 + 1e-9) + 0j, 0j)
+        monkeypatch.setattr(sums, "_SCALAR_TERMS", 0)
         monkeypatch.setattr(
-            spinsim, "_train_rotations",
+            _blocks, "_train_rotations",
             lambda blocks, trains: ([drifted[0]] * trains, [drifted[1]] * trains),
         )
         with pytest.raises(ValueError, match="trace"):
@@ -342,14 +345,15 @@ class TestSimulateExperiment:
     def test_drifted_trial_of_a_window_is_named(self, monkeypatch, capsys):
         # the window's trains run in lockstep; the sixth one drifts, and the
         # error names its l after the five readings before it pass
-        kernel = spinsim._train_rotations
+        kernel = _blocks._train_rotations
 
         def drift_sixth(blocks, trains):
             a, b = kernel(blocks, trains)
             a[5] *= math.sqrt(1 + 1e-9)
             return a, b
 
-        monkeypatch.setattr(spinsim, "_train_rotations", drift_sixth)
+        monkeypatch.setattr(sums, "_SCALAR_TERMS", 0)
+        monkeypatch.setattr(_blocks, "_train_rotations", drift_sixth)
         code = main([
             "simulate", "--n", str(N_TWELVE_DIGIT), "--window", "1299700:1299720",
             "--truncation", "19", "--theta", "0.002",

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import complete_sum_by_terms
 
 import gaussfactor.sums as sums
+from gaussfactor import _blocks
 from gaussfactor import (
     COMPLETE_SUM_CAP,
     Complete,
@@ -176,7 +177,7 @@ class TestCurlicue:
         p, q = eps.as_integer_ratio()
         ms = [*range(50), *random.Random(3).sample(range(10**12), 50)]
         for n in range(2, 7):
-            got = np.concatenate(list(sums._curlicue_phases(eps, n, ms))).tolist()
+            got = np.concatenate(list(_blocks._curlicue_phases(eps, n, ms))).tolist()
             assert got == [curlicue_phase(m, n, p, q) for m in ms]
 
     def test_rejects_bad_arguments(self):
@@ -365,6 +366,14 @@ def bits(value: SumValue) -> tuple[str, str, int]:
     return value.real_part.hex(), value.imag_part.hex(), value.term_count
 
 
+@pytest.fixture(scope="class")
+def numpy_blocks():
+    """Every kernel call of the class's tests in numpy blocks, however few its terms."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sums, "_SCALAR_TERMS", 0)
+        yield
+
+
 BOUND = 2**32  # the kernel's uint64 bound on l
 trial_factors = st.one_of(
     st.integers(1, 2**12),
@@ -373,6 +382,7 @@ trial_factors = st.one_of(
 )
 
 
+@pytest.mark.usefixtures("numpy_blocks")
 class TestBatchedKernel:
     @given(
         N=st.integers(0, 2**80),
@@ -386,13 +396,13 @@ class TestBatchedKernel:
         assert [bits(v) for v in values] == [bits(scalar_mean(N, l, n, ms)) for l in ls]
         small = [l for l in ls if l < BOUND]
         if small:
-            residues = sums._uint64_residues([N % l for l in small], small, n, ms).tolist()
+            residues = _blocks._uint64_residues([N % l for l in small], small, n, ms).tolist()
             assert residues == [[pow(m, n, l) * (N % l) % l for m in ms] for l in small]
-            phases = sums._uint64_phases([N % l for l in small], small, n, ms).tolist()
+            phases = _blocks._uint64_phases([N % l for l in small], small, n, ms).tolist()
             assert phases == [list(sums._residue_phases(N, l, n, ms)) for l in small]
         large = [l for l in ls if l >= BOUND]
         if large:
-            phases = sums._bigint_phases([N % l for l in large], large, n, ms).tolist()
+            phases = _blocks._bigint_phases([N % l for l in large], large, n, ms).tolist()
             assert phases == [list(sums._residue_phases(N, l, n, ms)) for l in large]
 
     @pytest.mark.parametrize(
@@ -433,14 +443,14 @@ class TestBatchedKernel:
         refs = []
         alive = []
 
-        def spy(blocks, real=sums._summed):
+        def spy(blocks, real=_blocks._summed):
             for block in real(blocks):
                 refs.append(weakref.ref(block))
                 alive.append(sum(ref() is not None for ref in refs))
                 yield block
                 del block
 
-        monkeypatch.setattr(sums, "_summed", spy)
+        monkeypatch.setattr(_blocks, "_summed", spy)
         M = 3 * sums._WALK_TERMS
         got = next(residue_means(N12, [1299711], 2, range(M + 1)))
         assert bits(got) == bits(scalar_mean(N12, 1299711, 2, range(M + 1)))
@@ -453,11 +463,11 @@ class TestBatchedKernel:
     def test_blocks_hold_at_most_block_terms(self, monkeypatch):
         sizes = []
         for name in ("_uint64_phases", "_bigint_phases"):
-            def spy(ts, ls, n, ms, real=getattr(sums, name)):
+            def spy(ts, ls, n, ms, real=getattr(_blocks, name)):
                 sizes.append(len(ls) * len(ms))
                 return real(ts, ls, n, ms)
 
-            monkeypatch.setattr(sums, name, spy)
+            monkeypatch.setattr(_blocks, name, spy)
         for l in (1299711, BOUND + 3):
             list(residue_means(N12, range(l, l + 2000), 2, range(20)))
             next(residue_means(N12, [l], 2, range(2 * sums._WALK_TERMS + 6)))
@@ -468,7 +478,7 @@ class TestBatchedKernel:
         # n - 1 multiplications takes a million and many seconds
         ls, ms, n = range(1299699, 1299732), range(200), 10**6 + 3
         start = time.perf_counter()
-        residues = sums._uint64_residues([N12 % l for l in ls], ls, n, ms)
+        residues = _blocks._uint64_residues([N12 % l for l in ls], ls, n, ms)
         elapsed = time.perf_counter() - start
         assert residues.tolist() == [[pow(m, n, l) * (N12 % l) % l for m in ms] for l in ls]
         assert elapsed < 0.5
@@ -478,7 +488,7 @@ class TestBatchedKernel:
         # math.cos and math.sin; on a build where they round differently,
         # the kernel's sums lose their bit-identity with the scalar path
         ls = range(1289709, 1309709)
-        kernel = sums._uint64_phases([N12 % l for l in ls], ls, 2, range(20)).ravel()
+        kernel = _blocks._uint64_phases([N12 % l for l in ls], ls, 2, range(20)).ravel()
         uniform = np.random.default_rng(0).uniform(0.0, 2 * math.pi, 200_000)
         for phases in (kernel, uniform):
             listed = phases.tolist()
@@ -518,13 +528,13 @@ def reference_curlicue_phases(eps: float, n: int, ms) -> list[str]:
 
 
 def blocked_curlicue_phases(eps: float, n: int, ms) -> list[str]:
-    return hexes(np.concatenate(list(sums._curlicue_phases(eps, n, ms))).tolist())
+    return hexes(np.concatenate(list(_blocks._curlicue_phases(eps, n, ms))).tolist())
 
 
 def lockstep_partials(N: int, ls, n: int, ms) -> list[list[tuple[float, float]]]:
     """The lockstep walks' correctly rounded partial sums, one list per l."""
     rows = []
-    for block in sums._walk(sums._lockstep_phases(N, ls, n, ms)):
+    for block in _blocks._walk(_blocks._lockstep_phases(N, ls, n, ms)):
         rows += [[block.rounded(i, c) for c in range(len(ls))] for i in range(block.size)]
     return [list(walk) for walk in zip(*rows)]
 
@@ -569,6 +579,7 @@ def curlicue_walks(draw):
     return eps, n, ms
 
 
+@pytest.mark.usefixtures("numpy_blocks")
 class TestBlockedWalks:
     @given(curlicue_walks())
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -607,13 +618,13 @@ class TestBlockedWalks:
         rng = random.Random(11)
         a = [rng.getrandbits(rng.randint(0, 64)) for _ in range(2000)] + [0, 2**64 - 1]
         b = [rng.getrandbits(rng.randint(0, 64)) for _ in range(2000)] + [2**64 - 1, 0]
-        high, low = sums._mul64(np.array(a, np.uint64), np.array(b, np.uint64))
+        high, low = _blocks._mul64(np.array(a, np.uint64), np.array(b, np.uint64))
         assert [(h << 64) + l for h, l in zip(high.tolist(), low.tolist())] == [
             x * y for x, y in zip(a, b)
         ]
         # (high, low) pairs of 128-bit values
         x, y = (a[:1000], a[1000:2000]), (b[:1000], b[1000:2000])
-        high, low = sums._mul128(*[tuple(np.array(limb, np.uint64) for limb in v) for v in (x, y)])
+        high, low = _blocks._mul128(*[tuple(np.array(limb, np.uint64) for limb in v) for v in (x, y)])
         assert [(h << 64) + l for h, l in zip(high.tolist(), low.tolist())] == [
             ((xh << 64) + xl) * ((yh << 64) + yl) % 2**128 for xh, xl, yh, yl in zip(*x, *y)
         ]
@@ -623,7 +634,7 @@ class TestBlockedWalks:
         ties = [(2**53 + 1) << s for s in range(75)] + [(2**54 - 1) << s for s in range(75)]
         values += ties + [tie + 1 for tie in ties] + [tie - 1 for tie in ties] + [2**128 - 1]
         for k in (0, 63, 64, 127, 1022):
-            floats = sums._dyadic_floats(
+            floats = _blocks._dyadic_floats(
                 np.array([v >> 64 for v in values], np.uint64),
                 np.array([v & (2**64 - 1) for v in values], np.uint64), k,
             )
@@ -639,11 +650,11 @@ class TestBlockedWalks:
     def test_walk_blocks_hold_walk_terms(self):
         # the first block holds 32 terms, and each next one twice as many
         # up to _WALK_TERMS
-        sizes = [len(b) for b in islice(sums._curlicue_phases(1e-12, 2, range(2**64)), 10)]
+        sizes = [len(b) for b in islice(_blocks._curlicue_phases(1e-12, 2, range(2**64)), 10)]
         assert sizes == [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 8192]
         assert sums._WALK_TERMS == 8192
         ms = range(32 + 64 + 1)
-        assert [len(b) for b in sums._curlicue_phases(1e-12, 2, ms)] == [32, 64, 1]
+        assert [len(b) for b in _blocks._curlicue_phases(1e-12, 2, ms)] == [32, 64, 1]
 
     def test_numpy_trig_matches_math_on_curlicue_phases(self):
         # walks take np.cos and np.sin where the per-term walk took
@@ -651,7 +662,7 @@ class TestBlockedWalks:
         walks = [(1e-12, 2, 200_000), (4e-5, 2, 2000), (1e-6, 5, 2000), (1e-300, 3, 2000),
                  (-1e-16, 4, 20_000), (0.7, 6, 2000)]
         for eps, n, M in walks:
-            phases = np.concatenate(list(sums._curlicue_phases(eps, n, range(M + 1))))
+            phases = np.concatenate(list(_blocks._curlicue_phases(eps, n, range(M + 1))))
             listed = phases.tolist()
             assert np.cos(phases).tolist() == list(map(math.cos, listed))
             assert np.sin(phases).tolist() == list(map(math.sin, listed))
@@ -669,10 +680,10 @@ class TestBlockedWalks:
 
     def test_lockstep_blocks_hold_at_most_block_terms(self):
         ls = range(1299000, 1300400)
-        shapes = [b.shape for b in sums._lockstep_phases(N12, ls, 2, range(100))]
+        shapes = [b.shape for b in _blocks._lockstep_phases(N12, ls, 2, range(100))]
         assert shapes == [(5, 1400)] * 20
         assert 1400 * 5 <= sums._WALK_TERMS < 1400 * 6
-        blocks = sums._walk(sums._lockstep_phases(N12, ls, 2, range(100)))
+        blocks = _blocks._walk(_blocks._lockstep_phases(N12, ls, 2, range(100)))
         assert [(b.size, b.walks) for b in blocks] == shapes
 
     def test_one_walk_streams_python_complex_terms(self):
@@ -698,8 +709,8 @@ class TestBlockedWalks:
             if walk == "one":
                 return [[(s.real, s.imag)] for _, s in sums._curlicue_walk(4e-5, 2, ms)]
             # three walks, on both sides of 2**32
-            phases = sums._lockstep_phases(N, ls, 3, ms)
-            return [[b.rounded(i, c) for c in range(3)] for b in sums._walk(phases)
+            phases = _blocks._lockstep_phases(N, ls, 3, ms)
+            return [[b.rounded(i, c) for c in range(3)] for b in _blocks._walk(phases)
                     for i in range(b.size)]
 
         whole = partials()
@@ -735,6 +746,7 @@ def walk_values(blocks, M: int, c: int = 0) -> tuple[str, str]:
 LOCKSTEP_LS = [BOUND - 7, BOUND - 1, BOUND + 3]
 
 
+@pytest.mark.usefixtures("numpy_blocks")
 class TestExactPrefixSums:
     """Each walk value is fsum of the terms before it, whatever the blocks."""
 
@@ -751,10 +763,10 @@ class TestExactPrefixSums:
         with pytest.MonkeyPatch.context() as mp:
             if blocked:
                 mp.setattr(sums, "_WALK_TERMS", 7)
-                mp.setattr(sums, "_SUB_TERMS", 7)
+                mp.setattr(_blocks, "_SUB_TERMS", 7)
             ms = range(3000)
             walk = list(sums._curlicue_walk(eps, n, ms))
-            blocks = list(sums._walk(sums._curlicue_phases(eps, n, ms)))
+            blocks = list(_blocks._walk(_blocks._curlicue_phases(eps, n, ms)))
         p, q = eps.as_integer_ratio()
         phases = [curlicue_phase(m, n, p, q) for m in ms]
         terms = np.array([complex(math.cos(ph), math.sin(ph)) for ph in phases])
@@ -774,8 +786,8 @@ class TestExactPrefixSums:
         with pytest.MonkeyPatch.context() as mp:
             if blocked:
                 mp.setattr(sums, "_WALK_TERMS", 7)
-                mp.setattr(sums, "_SUB_TERMS", 7)
-            blocks = list(sums._walk(sums._lockstep_phases(N, LOCKSTEP_LS, n, ms)))
+                mp.setattr(_blocks, "_SUB_TERMS", 7)
+            blocks = list(_blocks._walk(_blocks._lockstep_phases(N, LOCKSTEP_LS, n, ms)))
         for c, l in enumerate(LOCKSTEP_LS):
             phases = list(sums._residue_phases(N, l, n, ms))
             terms = np.array([complex(math.cos(ph), math.sin(ph)) for ph in phases])
@@ -786,7 +798,7 @@ class TestExactPrefixSums:
         # sin of pi * m**2 * 5e-324 is subnormal: below 2**-55, so its
         # limbs run past 2**-107
         ms = range(1000)
-        blocks = list(sums._walk(sums._curlicue_phases(5e-324, 2, ms)))
+        blocks = list(_blocks._walk(_blocks._curlicue_phases(5e-324, 2, ms)))
         assert all(len(b.limbs) > 2 for b in blocks)
         walk = list(sums._curlicue_walk(5e-324, 2, ms))
         p, q = (5e-324).as_integer_ratio()
@@ -802,7 +814,7 @@ class TestExactPrefixSums:
         # whose sine is below 2**-55 and has bits below 2**-107; the column
         # beside it stays ordinary
         N, ls, ms = 2**61, [1299711, 2**61 - 1], range(40)
-        blocks = list(sums._walk(sums._lockstep_phases(N, ls, 2, ms)))
+        blocks = list(_blocks._walk(_blocks._lockstep_phases(N, ls, 2, ms)))
         assert len(blocks[0].limbs) > 2
         for c, l in enumerate(ls):
             phases = list(sums._residue_phases(N, l, 2, ms))
