@@ -76,7 +76,7 @@ def _matrix(name: str):
 
 def __getattr__(name: str) -> Any:
     """SIGMA_X, SIGMA_Y and SIGMA_Z: numpy arrays, so made when read."""
-    if name.startswith("SIGMA_"):
+    if name in ("SIGMA_X", "SIGMA_Y", "SIGMA_Z"):
         return _matrix(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

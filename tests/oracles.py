@@ -76,7 +76,7 @@ def train_rotation(pulses: Iterable[tuple[float, float, float]]) -> tuple[comple
     merges once for every trailing zero bit of n, so the stack holds blocks
     of strictly decreasing power-of-two length, earliest at the bottom.
     The stack is then folded into the identity, latest block first.
-    spinsim._train_rotations builds the same tree a level at a time, in
+    _blocks._train_rotations builds the same tree a level at a time, in
     numpy, and must give the same bits.
     """
     stack: list[tuple[complex, complex]] = []

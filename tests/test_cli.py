@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_by_rows, json_by_dumps
 
+import gaussfactor._blocks as _blocks
 import gaussfactor.cli as cli
 import gaussfactor.ghost as ghost
 import gaussfactor.numtheory as numtheory
 import gaussfactor.sums as sums
-from gaussfactor import _blocks, iter_curlicue_magnitudes
+from gaussfactor import iter_curlicue_magnitudes
 from gaussfactor.cli import (
     RESULT_HEADER,
     ResultRow,

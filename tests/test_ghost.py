@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
+import gaussfactor._blocks as _blocks
 import gaussfactor.ghost as ghost
 import gaussfactor.sums as sums
-from gaussfactor import _blocks
 from gaussfactor import (
     Complete,
     FullTruncation,
@@ -191,7 +191,7 @@ class TestBarDecision:
 
     @staticmethod
     def blocks(partials: list) -> list:
-        """One block of a walk with these partial sums, as sums._walk yields it."""
+        """One block of a walk with these partial sums, as _blocks._walk yields it."""
         terms = np.diff(np.array(partials), axis=0, prepend=0)
         return list(_blocks._summed([np.stack([terms.real, terms.imag], axis=1)]))
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussfactor._blocks as _blocks
 import gaussfactor.spinsim as spinsim
 import gaussfactor.sums as sums
-from gaussfactor import _blocks
 from gaussfactor import (
     SIGMA_X,
     SIGMA_Y,

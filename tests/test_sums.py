@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import complete_sum_by_terms
 
+import gaussfactor._blocks as _blocks
 import gaussfactor.sums as sums
-from gaussfactor import _blocks
 from gaussfactor import (
     COMPLETE_SUM_CAP,
     Complete,
