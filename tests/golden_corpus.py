@@ -141,6 +141,16 @@ CASES: dict[str, list[str]] = {
     "simulate-17-above-bound": [
         "simulate", "--n", N17, "--l", "4294967296", "--truncation", "19", "--theta", "0.0025",
     ],
+    # a scan whose blocks take both executions: its first 409 l, 8,180
+    # terms, walk in numpy, and the 2-l tail, 40 terms, is summed by fsum,
+    # so numpy and scalar blocks meet in one output
+    "scan-12-numpy-fsum-tail": [
+        "scan", "--n", N12, "--window", "1299000:1299410", "--truncation", "19",
+    ],
+    "scan-12-numpy-fsum-tail-json": [
+        "scan", "--n", N12, "--window", "1299000:1299410", "--truncation", "19",
+        "--format", "json",
+    ],
 }
 
 
