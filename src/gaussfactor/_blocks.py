@@ -85,13 +85,15 @@ def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     return high, low
 
 
-def _dyadic_floats(high: np.ndarray, low: np.ndarray, k: int) -> np.ndarray:
-    """(high * 2**64 + low) / 2**k for uint64 limbs, each rounded once, for k <= 1022.
+def _dyadic_floats(high: np.ndarray, low: np.ndarray, k) -> np.ndarray:
+    """(high * 2**64 + low) / 2**k for uint64 limbs, rounded once where at least 2**-1022.
 
-    The top 64 bits, above a shift s of high's bit length or one more (its
-    float's exponent), with a sticky bit for the rest, round to nearest as
-    the whole does: with s > 0 they are at least 2**63, so the sticky bit
-    lies below the rounding position.  One conversion, then an exact 2**(s - k).
+    k is an int or an int32 array; with k <= 1022 every nonzero result is
+    at least 2**-1022.  The top 64 bits, above a shift s of high's bit
+    length or one more (its float's exponent), with a sticky bit for the
+    rest, round to nearest as the whole does: with s > 0 they are at least
+    2**62, so the sticky bit lies below the rounding position.  One
+    conversion, then 2**(s - k), exact unless the result is subnormal.
     numpy's uint64 shift by 64 gives 0, which the ends s = 0 and 64 use.
     """
     s = np.minimum(np.frexp(high.astype(np.float64))[1], 64).astype(np.uint64)
@@ -242,32 +244,81 @@ class _Sums:
     def rounded(self, i: int, c: int = 0) -> tuple[float, float]:
         """Row i of walk c, its real and imaginary parts rounded correctly."""
         s, r = divmod(i, self.limbs.shape[2])
-        return self._rounded(s, r, c), self._rounded(s, r, self.walks + c)
+        re, im = self._rounded(s, slice(r, r + 1), slice(c, c + self.walks + 1, self.walks))[0]
+        return re.item(), im.item()
 
     def last(self) -> tuple[list[float], list[float]]:
         """The last row's real and imaginary parts, one per walk, each rounded correctly."""
         s, r = divmod(self.size - 1, self.limbs.shape[2])
-        row = self._rounded(s, r, slice(None)).tolist()
+        row = self._rounded(s, slice(r, r + 1), slice(None))[0].tolist()
         return row[:self.walks], row[self.walks:]
 
     def partials(self) -> Iterator[complex]:
         """A one-walk block's prefix sums in order, rounded a sub-block at a time, when read."""
         for s in range(self.limbs.shape[1]):
-            parts = self._rounded(s, slice(None), slice(None)).astype(np.float64)
+            parts = self._rounded(s, slice(None), slice(None))
             yield from parts.view(np.complex128)[:, 0].tolist()
 
-    def _rounded(self, s: int, rows: int | slice, cols: int | slice):
-        """Rows of sub-block s in columns cols, each rounded once from its exact integer.
+    def _rounded(self, s: int, rows: slice, cols: slice) -> np.ndarray:
+        """Rows of sub-block s in columns cols, each rounded once from its exact limbs.
 
-        Python's int true division rounds correctly, so each is the fsum of
-        the terms it sums.
+        Each cell's head and limbs are added limb by limb and carried, then
+        negated and carried again where the head is negative, so that every
+        limb holds the magnitude's bits (_carried).  The leading nonzero
+        limb and the two below it hold at least 111 bits; their top bits,
+        cut 46 bits above the lowest, with a sticky bit for everything
+        lower, round once by _dyadic_floats' rule to the correctly rounded
+        value, the fsum of the terms the cell sums.  Where that value lies
+        at or below 2**-1022, ldexp could round a second time, so the cell
+        is rounded by int true division instead (_exact_quotient).
         """
-        unit = _SHIFTS[len(self.heads) - 1]
-        lifts = [unit - shift for shift in _SHIFTS[:len(self.heads)]]
-        exact = sum(map(operator.lshift, self.heads[:, s, cols].astype(object), lifts))
-        for limb, lift in zip(self.limbs[:, s, rows, cols].astype(object), lifts[1:]):
-            exact = exact + (limb << lift)  # Python ints, elementwise
-        return exact / (1 << unit)
+        limbs = self.limbs[:, s, rows, cols]
+        heads = self.heads[:, s, None, cols]
+        shape = limbs.shape[1:]
+        v = np.zeros((len(heads) + 2, *shape), np.int64)  # two limbs of zeros past the last
+        v[0] = heads[0]
+        np.add(limbs, heads[1:], out=v[1:-2])
+        _carried(v[:-2])
+        sign = np.where(v[0] < 0, -1, 1)
+        if (sign < 0).any():
+            v *= sign
+            _carried(v[:-2])
+        u = v.reshape(len(v), -1).view(np.uint64)
+        nonzero = u != 0
+        lead = nonzero.argmax(axis=0)
+        last = len(u) - 1 - nonzero[::-1].argmax(axis=0)
+        at = lead * u.shape[1] + np.arange(u.shape[1])
+        high, mid, low = (u.take(at + j * u.shape[1]) for j in range(3))
+        live = high != 0
+        low = low >> 46 | mid << 9 | (low << 18 != 0) | ((last > lead + 2) & live)
+        values = _dyadic_floats(high, low, (55 * lead + 61).astype(np.int32))
+        for cell in np.nonzero((values <= 2.0**-1022) & live)[0]:
+            values[cell] = _exact_quotient(u[:-2, cell].tolist())
+        values = values.reshape(shape)
+        values *= sign
+        return values
+
+
+def _carried(v: np.ndarray) -> None:
+    """Carry each limb below the head into [0, 2**55), the lowest first, in place.
+
+    v stacks limbs along axis 0 as _SHIFTS lays them out.  Each carry
+    reaches the limb above before that limb is carried, so one pass leaves
+    every limb below the head in range.  The limbs below the head then sum
+    to less than 8, its unit, so the head has the value's sign.
+    """
+    for j in range(len(v) - 1, 0, -1):
+        v[j - 1] += v[j] >> 55
+        v[j] &= (1 << 55) - 1
+
+
+def _exact_quotient(limbs: list[int]) -> float:
+    """The value of limbs laid out as _SHIFTS lays them out, by one int true division.
+
+    Python's int true division rounds correctly into the subnormals too.
+    """
+    unit = _SHIFTS[len(limbs) - 1]
+    return sum(limb << unit - shift for limb, shift in zip(limbs, _SHIFTS)) / (1 << unit)
 
 
 def _first_suppressed(walk: Iterable[_Sums], bar: float) -> int | None:
@@ -423,31 +474,30 @@ def _bigint_phases(ts: list[int], ls: Sequence[int], n: int, ms: Sequence[int]) 
     return np.array(rows, dtype=np.float64)
 
 
-def _phase_path(l: int) -> Callable[..., np.ndarray]:
-    """The kernel's one choice, made by l alone: uint64 residues or exact ints."""
-    return _uint64_phases if l < _UINT64_BOUND else _bigint_phases
-
-
-def _lockstep_phases(N: int, ls: Sequence[int], n: int, ms: Sequence[int]) -> Iterator[np.ndarray]:
+def _lockstep_phases(
+    ts: Sequence[int], ls: Sequence[int], n: int, ms: Sequence[int]
+) -> Iterator[np.ndarray]:
     """The phases of sums._residue_phases for walks over ms in lockstep, one column per l.
 
-    Each block holds the next sums._WALK_TERMS // len(ls) values of m, or one,
-    along axis 0, as _walk reads them.  Each column is formed on its l's
-    kernel path, from N mod l formed once per walk.
+    ts holds N mod l for each l of ls.  Each block holds the next
+    sums._WALK_TERMS // len(ls) values of m, or one, along axis 0, as _walk
+    reads them.  Each column is formed on its l's kernel path, chosen by l
+    alone: uint64 residues below _UINT64_BOUND, exact ints from it on.
     """
-    runs = []
-    for phases, run in groupby(ls, _phase_path):
+    runs, start = [], 0
+    for big, run in groupby(ls, _UINT64_BOUND.__le__):
         run = list(run)
-        ts = [N % l for l in run]
-        if phases is _uint64_phases:  # as arrays once per walk, not once per block
-            ts, run = np.array(ts, np.uint64), np.array(run, np.uint64)
-        runs.append((phases, ts, run))
+        t, start = ts[start:start + len(run)], start + len(run)
+        if big:
+            runs.append((_bigint_phases, t, run))
+        else:  # as arrays once per walk, not once per block
+            runs.append((_uint64_phases, np.array(t, np.uint64), np.array(run, np.uint64)))
     columns = max(1, sums._WALK_TERMS // len(ls))
     for start in count(0, columns):
         part = ms[start:start + columns]
         if not part:
             return
-        yield np.concatenate([phases(ts, run, n, part) for phases, ts, run in runs]).T
+        yield np.concatenate([phases(t, run, n, part) for phases, t, run in runs]).T
 
 
 def _curlicue_walk(eps: float, n: int, ms: Sequence[int]) -> Iterator[tuple[complex, complex]]:

@@ -33,7 +33,7 @@ from .sums import (
     _curlicue_walk,
 )
 
-__all__ = ["main", "ResultRow", "emit_csv", "emit_json", "parse_result_csv"]
+__all__ = ["main", "ResultRow", "Table", "emit_csv", "emit_json", "parse_result_csv"]
 
 RESULT_HEADER = ["l", "epsilon", "magnitude", "class", "seed", "term_count"]
 
@@ -54,8 +54,34 @@ class ResultRow:
     term_count: int
 
 
+class Table:
+    """A result table as columns, one list of cells per header name.
+
+    The commands fill it a block of rows at a time, and the emitters read
+    it a block of rows at a time.  len() is its number of rows.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.columns: list[list[Any]] = [[] for _ in range(width)]
+
+    @classmethod
+    def of_rows(cls, width: int, rows: Iterable[Sequence[Any]]) -> "Table":
+        """The table of rows as wide as its header."""
+        table = cls(width)
+        table.extend(zip(*rows))
+        return table
+
+    def extend(self, block: Iterable[Iterable[Any]]) -> None:
+        """Append a block of rows, given as its columns."""
+        for column, cells in zip(self.columns, block):
+            column.extend(cells)
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+
 # the text of a column of cells of one type
-Formatter = Callable[[Sequence[Any]], list[str]]
+Formatter = Callable[[Sequence[Any]], Sequence[str]]
 # rows formatted at a time, so that their cells' text stays small beside the table
 _EMIT_ROWS = 256
 
@@ -71,6 +97,8 @@ def _csv_reals(xs: Sequence[float]) -> list[str]:
 
 
 def _csv_format(kind: type) -> Formatter:
+    if kind is str:
+        return lambda xs: xs
     if kind is type(None):
         return lambda xs: [""] * len(xs)
     if kind is bool:
@@ -101,50 +129,51 @@ def _json_format(kind: type) -> Formatter:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _column_blocks(
-    rows: Sequence[Sequence[Any]], choose: Callable[[type], Formatter]
-) -> Iterator[list[list[str]]]:
-    """The text of each column of rows, _EMIT_ROWS rows at a time.
+def _text_blocks(
+    table: Table, choose: Callable[[type], Formatter]
+) -> Iterator[list[Sequence[str]]]:
+    """The text of each column of table, _EMIT_ROWS rows at a time.
 
-    Rows are all as wide as the header, and at least one wide.  In each
-    block a column's formatter is chosen once, by the type of its cells; a
-    column that mixes types, such as required_M's integers and nulls, takes
-    one per type.
+    The table has a column per header name, at least one.  In each block
+    a column's formatter is chosen once, by the type of its cells; a column
+    that mixes types, such as required_M's integers and nulls, takes one
+    per type.
     """
-    if not rows:
+    if not len(table):
         raise ValidationError("refusing to emit an empty table")
-    for start in range(0, len(rows), _EMIT_ROWS):
-        columns = []
-        for column in zip(*rows[start:start + _EMIT_ROWS]):
-            formats = {kind: choose(kind) for kind in set(map(type, column))}
+    for start in range(0, len(table), _EMIT_ROWS):
+        texts = []
+        for column in table.columns:
+            cells = column[start:start + _EMIT_ROWS]
+            formats = {kind: choose(kind) for kind in set(map(type, cells))}
             if len(formats) == 1:
                 (write,) = formats.values()
-                columns.append(write(column))
+                texts.append(write(cells))
             else:
-                columns.append([formats[type(x)]((x,))[0] for x in column])
-        yield columns
+                texts.append([formats[type(x)]((x,))[0] for x in cells])
+        yield texts
 
 
-def emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def emit_csv(header: Sequence[str], table: Table) -> str:
     """CSV text with LF endings; reals in shortest round-trip form."""
-    blocks = _column_blocks(rows, _csv_format)
+    blocks = _text_blocks(table, _csv_format)
     try:
-        body = "\n".join("\n".join(map(",".join, zip(*columns))) for columns in blocks)
+        body = "\n".join("\n".join(map(",".join, zip(*texts))) for texts in blocks)
     except (OverflowError, ValueError):
         # fail on the first unwritable cell in row order, as a row writer would
-        for x in chain.from_iterable(rows):
+        for x in chain.from_iterable(zip(*table.columns)):
             _csv_format(type(x))((x,))
         raise
-    return ",".join(header) + "\n" + body + "\n"
+    return "".join([",".join(header), "\n", body, "\n"])  # one copy of the body
 
 
-def emit_json(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def emit_json(header: Sequence[str], table: Table) -> str:
     """The text of json.dumps(objects, indent=2) + "\n", one object per row."""
     keys = [encode_basestring_ascii(key).replace("%", "%%") for key in header]
     template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    blocks = _column_blocks(rows, _json_format)
-    body = ",\n".join(",\n".join(map(template.__mod__, zip(*columns))) for columns in blocks)
-    return "[\n" + body + "\n]\n"
+    blocks = _text_blocks(table, _json_format)
+    body = ",\n".join(",\n".join(map(template.__mod__, zip(*texts))) for texts in blocks)
+    return "".join(["[\n", body, "\n]\n"])
 
 
 def parse_result_csv(text: str) -> list[ResultRow]:
@@ -349,34 +378,37 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _trial_rows(N: int, lo: int, blocks: Iterable[Iterable[Sequence[Any]]]) -> list[Sequence[Any]]:
-    """The rows of l = lo, lo + 1, ... from blocks of them; a domain violation names N and l."""
-    rows: list[Sequence[Any]] = []
+def _filled(rows: Table | list, N: int, lo: int, blocks: Iterable[Any]) -> Any:
+    """rows extended by blocks of the rows of l = lo, lo + 1, ...
+
+    rows is a Table, extended by blocks of columns, or a list, extended by
+    blocks of row tuples.  A domain violation names N and the l of the
+    next row, from len(rows).
+    """
     try:
         for block in blocks:
-            rows += block
+            rows.extend(block)
     except ValueError as exc:
         raise ValueError(f"{exc} (N={N}, l={lo + len(rows)})") from exc
     return rows
 
 
-def _classified_rows(N: int, lo: int, hi: int, spec: SumSpec) -> list[Sequence[Any]]:
+def _classified_table(N: int, lo: int, hi: int, spec: SumSpec) -> Table:
     """A result row per l in [lo, hi], from the rule's columns."""
     # trial-factor sized integers stay strings in JSON so consumers that
     # read numbers as doubles cannot corrupt them
     seed = getattr(spec.strategy, "seed", None)
     blocks = (
-        zip(map(str, b.ls), b.eps, b.magnitudes, [c.value for c in b.classes], repeat(seed),
-            b.term_counts)
+        (map(str, b.ls), b.eps, b.magnitudes, b.classes, repeat(seed, len(b.ls)), b.term_counts)
         for b in ghost._classified_blocks(N, range(lo, hi + 1), spec)
     )
-    return _trial_rows(N, lo, blocks)
+    return _filled(Table(len(RESULT_HEADER)), N, lo, blocks)
 
 
-def _run_scan(args: argparse.Namespace) -> tuple[list[str], list[tuple[Any, ...]]]:
+def _run_scan(args: argparse.Namespace) -> tuple[list[str], Table]:
     """scan over --window, or classify over the one-l window of --l."""
     n_value, (lo, hi) = _trials(args)
-    return RESULT_HEADER, _classified_rows(n_value, lo, hi, _flag_spec(args))
+    return RESULT_HEADER, _classified_table(n_value, lo, hi, _flag_spec(args))
 
 
 def _check_study_flags(args: argparse.Namespace) -> None:
@@ -388,7 +420,7 @@ def _check_study_flags(args: argparse.Namespace) -> None:
         raise ValidationError(f"--threshold: must be finite and >= 0, got {args.threshold}")
 
 
-def _run_suppression(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+def _run_suppression(args: argparse.Namespace) -> tuple[list[str], Table]:
     _check_study_flags(args)
     # the range of Epsilon; sums are periodic in eps, but a reported eps of 5
     # would not be a fractional part of any 2N/l
@@ -396,10 +428,11 @@ def _run_suppression(args: argparse.Namespace) -> tuple[list[str], list[list[Any
         raise ValidationError(f"--epsilon: must be in (-1, 1], got {args.epsilon}")
     required = ghost.min_suppression_M(args.epsilon, args.order, args.threshold, args.m_cap)
     header = ["epsilon", "order", "threshold", "m_cap", "required_M"]
-    return header, [[args.epsilon, args.order, args.threshold, args.m_cap, required]]
+    row = [args.epsilon, args.order, args.threshold, args.m_cap, required]
+    return header, Table.of_rows(len(header), [row])
 
 
-def _run_scaling(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+def _run_scaling(args: argparse.Namespace) -> tuple[list[str], Table]:
     _check_study_flags(args)
     cases = []
     for text in args.case:
@@ -409,26 +442,26 @@ def _run_scaling(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
         cases.append((_parse_natural(n_text, "--case"), _parse_window(window, "--case")))
     rows = ghost.scaling_study(cases, args.order, args.threshold, args.m_cap)
     header = ["N", "l_min", "l_max", "worst_epsilon", "required_M", "root_2n"]
-    return header, [
+    return header, Table.of_rows(len(header), (
         [str(r.N), r.window[0], r.window[1], r.worst_epsilon, r.required_M, r.root_2n]
         for r in rows
-    ]
+    ))
 
 
-def _run_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+def _run_simulate(args: argparse.Namespace) -> tuple[list[str], Table]:
     n_value, (lo, hi) = _trials(args)
     if not 0 < args.theta < math.inf:
         raise ValidationError(f"--theta: must be finite and positive, got {args.theta}")
     spec = _flag_spec(args)
     ls = range(lo, hi + 1)
     # a block of one row each, so that a reading's error names its own l
-    rows = (
-        [[str(l), epsilon(n_value, l).value, r.mx, r.my,
-          r.transverse_magnitude, r.normalized_signal, len(spec.strategy.terms(l))]]
+    blocks = (
+        [(str(l), epsilon(n_value, l).value, r.mx, r.my,
+          r.transverse_magnitude, r.normalized_signal, len(spec.strategy.terms(l)))]
         for l, r in zip(ls, spinsim._readings(n_value, ls, spec, args.theta))
     )
     header = ["l", "epsilon", "mx", "my", "transverse", "normalized_signal", "term_count"]
-    return header, _trial_rows(n_value, lo, rows)
+    return header, Table.of_rows(len(header), _filled([], n_value, lo, blocks))
 
 
 def _load_figure_defaults(path: str | None) -> dict[str, Any]:
@@ -447,16 +480,13 @@ def _load_figure_defaults(path: str | None) -> dict[str, Any]:
         raise ValidationError(f"--config: not valid JSON ({exc})") from None
 
 
-def _magnitude_rows(
-    max_truncation: int, series: list[tuple[Any, float, int]]
-) -> list[list[Any]]:
-    """[key, M, |s_M(eps)|] for M = 0..max_truncation of each (key, eps, order)."""
+def _magnitude_table(max_truncation: int, series: list[tuple[Any, float, int]]) -> Table:
+    """Rows [key, M, |s_M(eps)|] for M = 0..max_truncation of each (key, eps, order)."""
     Ms = range(max_truncation + 1)
-    return [
-        [key, M, magnitude]
-        for key, eps, order in series
-        for M, magnitude in enumerate(_curlicue_magnitudes(eps, order, Ms))
-    ]
+    table = Table(3)
+    for key, eps, order in series:
+        table.extend((repeat(key, len(Ms)), Ms, _curlicue_magnitudes(eps, order, Ms)))
+    return table
 
 
 def _config_order(order: Any) -> int:
@@ -470,13 +500,13 @@ def _config_order(order: Any) -> int:
     return order
 
 
-def _figure_1(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+def _figure_1(cfg: dict[str, Any]) -> tuple[list[str], Table]:
     order = _config_order(cfg["order"])
     series = [(eps, eps, order) for eps in cfg["epsilons"]]
-    return ["epsilon", "M", "magnitude"], _magnitude_rows(cfg["max_truncation"], series)
+    return ["epsilon", "M", "magnitude"], _magnitude_table(cfg["max_truncation"], series)
 
 
-def _figure_2(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+def _figure_2(cfg: dict[str, Any]) -> tuple[list[str], Table]:
     walks = [(f"M{M}", range(M + 1)) for M in cfg["truncations"]]
     names = {**_CONFIG_NAMES, "count": "random_count", "m_max": "random_m_max",
              "seed": "random_seed"}
@@ -496,10 +526,10 @@ def _figure_2(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
         for k, (m, (z, part)) in enumerate(zip(ms, walk), 1):
             mag = math.hypot(part.real, part.imag) / k
             rows.append([series, m, z.real, z.imag, part.real, part.imag, mag])
-    return header, rows
+    return header, Table.of_rows(len(header), rows)
 
 
-def _figure_3(cfg: dict[str, Any]) -> tuple[list[str], list[tuple[Any, ...]]]:
+def _figure_3(cfg: dict[str, Any]) -> tuple[list[str], Table]:
     n_value = _parse_natural(cfg["N"], "N")
     lo, hi = _config_window(cfg["window"])
     upper, middle, lower = cfg["upper"], cfg["middle"], cfg["lower"]
@@ -511,33 +541,32 @@ def _figure_3(cfg: dict[str, Any]) -> tuple[list[str], list[tuple[Any, ...]]]:
         ),
         "lower": _sum_spec(_CONFIG_NAMES, lower["order"], lower["truncation"]),
     }
-    rows = [
-        (name, *cells)
-        for name, spec in traces.items()
-        for cells in _classified_rows(n_value, lo, hi, spec)
-    ]
-    return ["trace"] + RESULT_HEADER, rows
+    table = Table(1 + len(RESULT_HEADER))
+    for name, spec in traces.items():
+        trace = _classified_table(n_value, lo, hi, spec)
+        table.extend([repeat(name, len(trace)), *trace.columns])
+    return ["trace"] + RESULT_HEADER, table
 
 
-def _figure_4(cfg: dict[str, Any]) -> tuple[list[str], list[tuple[Any, ...]]]:
+def _figure_4(cfg: dict[str, Any]) -> tuple[list[str], Table]:
     n_value = _parse_natural(cfg["N"], "N")
     lo, hi = _config_window(cfg["window"])
     spec = _sum_spec(
         _CONFIG_NAMES, count=cfg["count"], m_max=cfg["m_max"], seed=cfg["seed"]
     )
-    return RESULT_HEADER, _classified_rows(n_value, lo, hi, spec)
+    return RESULT_HEADER, _classified_table(n_value, lo, hi, spec)
 
 
-def _figure_5(cfg: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+def _figure_5(cfg: dict[str, Any]) -> tuple[list[str], Table]:
     orders = [_config_order(order) for order in cfg["orders"]]
     series = [(order, cfg["epsilon"], order) for order in orders]
-    return ["order", "M", "magnitude"], _magnitude_rows(cfg["max_truncation"], series)
+    return ["order", "M", "magnitude"], _magnitude_table(cfg["max_truncation"], series)
 
 
 _FIGURES = {"1": _figure_1, "2": _figure_2, "3": _figure_3, "4": _figure_4, "5": _figure_5}
 
 
-def _run_figure(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+def _run_figure(args: argparse.Namespace) -> tuple[list[str], Table]:
     defaults = _load_figure_defaults(args.config)
     try:
         if args.figure not in defaults:
@@ -561,7 +590,7 @@ _COMMANDS = {
 }
 
 
-def _run_command(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
+def _run_command(args: argparse.Namespace) -> tuple[list[str], Table]:
     """Run a subcommand; each distinct warning it raises is one stderr line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -577,8 +606,8 @@ def _run_command(args: argparse.Namespace) -> tuple[list[str], list[list[Any]]]:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        header, rows = _run_command(args)
-        text = emit_csv(header, rows) if args.format == "csv" else emit_json(header, rows)
+        header, table = _run_command(args)
+        text = emit_csv(header, table) if args.format == "csv" else emit_json(header, table)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -82,16 +82,24 @@ class ClassifiedTrial:
     spec: SumSpec
 
 
+# the rule's class column holds the text of each class, so that the CLI
+# prints it as it is
+_FACTOR, _GHOST, _THRESHOLD, _TYPICAL = (
+    TrialClass.FACTOR.value, TrialClass.GHOST_FACTOR.value,
+    TrialClass.THRESHOLD_NON_FACTOR.value, TrialClass.TYPICAL_NON_FACTOR.value,
+)
+
+
 class _Rows(NamedTuple):
     """A block of consecutive trial factors with their sums and verdicts, as columns."""
 
-    ls: list[int]
+    ls: Sequence[int]
     real_parts: list[float]
     imag_parts: list[float]
     term_counts: list[int]
     eps: list[float]
     magnitudes: list[float]
-    classes: list[TrialClass]
+    classes: list[str]  # TrialClass values
 
 
 def _classified_blocks(
@@ -100,24 +108,24 @@ def _classified_blocks(
     """The one classification rule, applied a block of trial factors at a time.
 
     Factor status is decided by exact division, t = N mod l being 0, never
-    by the float magnitude.  eps is 2t/l, less 2 when 2t > l, in one int
-    true division: Epsilon.value's bits.  Each magnitude is math.hypot of
-    the normalized sum, SumValue.magnitude's bits, formed once; it then
-    separates ghosts (above threshold + GHOST_SLACK), threshold cases
-    (within THRESHOLD_BAND of threshold) and typical non-factors.  Every
-    magnitude is checked as SumValue checks it: the rows before the first
-    that fails come as a shorter block, and SumValue's error is raised next.
+    by the float magnitude; t comes with the sums, formed once per l.  eps
+    is 2t/l, less 2 when 2t > l, in one int true division: Epsilon.value's
+    bits.  Each magnitude is math.hypot of the normalized sum,
+    SumValue.magnitude's bits, formed once; it then separates ghosts (above
+    threshold + GHOST_SLACK), threshold cases (within THRESHOLD_BAND of
+    threshold) and typical non-factors.  Every magnitude is checked as
+    SumValue checks it: the rows before the first that fails come as a
+    shorter block, and SumValue's error is raised next.
     """
     bar = threshold + GHOST_SLACK
-    for ls, re, im, counts in _mean_columns(N, ls, spec):
-        ts = [N % l for l in ls]
+    for ls, ts, re, im, counts in _mean_columns(N, ls, spec):
         eps = [(2 * t if 2 * t <= l else 2 * t - 2 * l) / l for t, l in zip(ts, ls)]
         magnitudes = list(map(hypot, re, im))
         classes = [
-            TrialClass.FACTOR if not t
-            else TrialClass.GHOST_FACTOR if m > bar
-            else TrialClass.THRESHOLD_NON_FACTOR if abs(m - threshold) <= THRESHOLD_BAND
-            else TrialClass.TYPICAL_NON_FACTOR
+            _FACTOR if not t
+            else _GHOST if m > bar
+            else _THRESHOLD if -THRESHOLD_BAND <= m - threshold <= THRESHOLD_BAND
+            else _TYPICAL
             for t, m in zip(ts, magnitudes)
         ]
         rows = _Rows(ls, re, im, counts, eps, magnitudes, classes)
@@ -178,7 +186,7 @@ def iter_scan_window(
     if not 2 <= l_min <= l_max:
         raise ValueError(f"invalid window [{l_min}, {l_max}]")
     return (
-        ClassifiedTrial(l, epsilon(N, l), SumValue(re, im, count), cls, spec)
+        ClassifiedTrial(l, epsilon(N, l), SumValue(re, im, count), TrialClass(cls), spec)
         for rows in _classified_blocks(N, range(l_min, l_max + 1), spec)
         for l, re, im, count, cls in zip(
             rows.ls, rows.real_parts, rows.imag_parts, rows.term_counts, rows.classes
@@ -262,5 +270,5 @@ def randomized_success_fraction(
     for seed in seed_list:
         spec = SumSpec(Randomized(count, m_max, seed), n)
         blocks = _classified_blocks(N, range(l_min, l_max + 1), spec, threshold)
-        successes += not any(TrialClass.GHOST_FACTOR in rows.classes for rows in blocks)
+        successes += not any(_GHOST in rows.classes for rows in blocks)
     return successes / len(seed_list)

@@ -295,11 +295,12 @@ def _readings(
             )
         _check_phase_args(N, min(run), spec.order)
         cos, sin = math.cos(theta / 2), math.sin(theta / 2)
+        ts = list(map(N.__mod__, run))
         if len(run) * len(terms) <= sums._SCALAR_TERMS:
-            trains = (_phases(2 * (N % l), l, spec.order, terms) for l in run)
+            trains = (_phases(2 * t, l, spec.order, terms) for t, l in zip(ts, run))
             rotations = [_train_rotation((cos, sin, phase) for phase in train) for train in trains]
         else:
-            phases = _blocks._lockstep_phases(N, run, spec.order, terms)
+            phases = _blocks._lockstep_phases(ts, run, spec.order, terms)
             blocks = ((cos, sin, block) for block in phases)
             rotations = zip(*_blocks._train_rotations(blocks, len(run)))
         reference = 0.5 * math.sin(total)

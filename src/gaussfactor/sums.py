@@ -299,37 +299,50 @@ def _curlicue_suppressed(eps: float, n: int, ms: range, bar: float) -> int | Non
 
 def _residue_suppressed(N: int, ls: Sequence[int], n: int, ms: range, bar: float) -> int | None:
     """_first_suppressed_M of the residue walks of N over ms, one per l of ls, in lockstep."""
+    ts = list(map(N.__mod__, ls))
     return _first_suppressed_M(
-        len(ls), ms, lambda head: (_phases(2 * (N % l), l, n, head) for l in ls),
-        lambda: _blocks._lockstep_phases(N, ls, n, ms), bar,
+        len(ls), ms, lambda head: (_phases(2 * t, l, n, head) for t, l in zip(ts, ls)),
+        lambda: _blocks._lockstep_phases(ts, ls, n, ms), bar,
     )
+
+
+def _sequence(ls: Iterable[int]) -> Sequence[int]:
+    """ls as a sequence: a range or list as it is, any other iterable as a list."""
+    return ls if isinstance(ls, (range, list, tuple)) else list(ls)
+
+
+def _least(ls: Sequence[int]) -> int:
+    """The least l of a nonempty ls; a range's is at one of its ends."""
+    return min(ls[0], ls[-1]) if isinstance(ls, range) else min(ls)
 
 
 def _residue_sums(
     N: int, ls: Iterable[int], n: int, ms: Sequence[int]
-) -> Iterator[tuple[list[int], list[float], list[float]]]:
+) -> Iterator[tuple[Sequence[int], list[int], list[float], list[float]]]:
     """The sums of exp(2*pi*i * m**n * N / l) over ms for each l in ls, as columns.
 
     The one kernel behind every one-shot residue sum.  Runs of
     _WALK_TERMS // len(ms) consecutive l, or one, are summed together, and
-    each run yields (its l, their real sums, their imaginary sums).  A run
-    of at most _SCALAR_TERMS terms is summed by fsum; a larger one walks in
-    lockstep in numpy, each sum the last prefix of its walk.  N, n and the
-    smallest l are checked first.
+    each run yields (its l, N mod l for each, their real sums, their
+    imaginary sums).  A run of at most _SCALAR_TERMS terms is summed by
+    fsum; a larger one walks in lockstep in numpy, each sum the last prefix
+    of its walk.  N, n and the smallest l are checked first.  A range of l
+    stays a range, cut into runs, so that no list of the window is made.
     """
     _check_order(n)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    ls = list(ls)
+    ls = _sequence(ls)
     if ls:
-        _check_trial(min(ls))
+        _check_trial(_least(ls))
     step = max(1, _WALK_TERMS // len(ms))
     for start in range(0, len(ls), step):
         run = ls[start:start + step]
+        ts = list(map(N.__mod__, run))
         if len(run) * len(ms) <= _SCALAR_TERMS:
-            yield (run, *zip(*(_fsums(_phases(2 * (N % l), l, n, ms)) for l in run)))
+            yield (run, ts, *zip(*(_fsums(_phases(2 * t, l, n, ms)) for t, l in zip(ts, run))))
         else:
-            yield (run, *_blocks._walk_totals(_blocks._lockstep_phases(N, run, n, ms)))
+            yield (run, ts, *_blocks._walk_totals(_blocks._lockstep_phases(ts, run, n, ms)))
 
 
 def _complete_mean(t: int, l: int) -> tuple[float, float]:
@@ -428,35 +441,37 @@ def evaluate(N: int, l: int, spec: SumSpec) -> SumValue:
 
 def _mean_columns(
     N: int, ls: Iterable[int], spec: SumSpec
-) -> Iterator[tuple[list[int], list[float], list[float], list[int]]]:
+) -> Iterator[tuple[Sequence[int], list[int], list[float], list[float], list[int]]]:
     """evaluate_many's sums as columns, a run of l at a time.
 
-    Each run yields (its l, the real and the imaginary parts of their
-    normalized sums, their term counts): the fields of a SumValue, with the
-    same bits.  The complete sum is a closed form per l; every other
-    strategy averages one m-set over every l, through the batched kernel.
+    Each run yields (its l, N mod l for each, the real and the imaginary
+    parts of their normalized sums, their term counts): the fields of a
+    SumValue, with the same bits.  The complete sum is a closed form per l;
+    every other strategy averages one m-set over every l, through the
+    batched kernel.  A range of l stays a range, cut into runs.
     """
     if not isinstance(spec.strategy, Complete):
         ms = spec.strategy.terms(0)
         size = len(ms)
-        for run, re, im in _residue_sums(N, ls, spec.order, ms):
-            yield run, [x / size for x in re], [y / size for y in im], [size] * len(run)
+        for run, ts, re, im in _residue_sums(N, ls, spec.order, ms):
+            yield run, ts, [x / size for x in re], [y / size for y in im], [size] * len(run)
         return
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    ls = list(ls)
+    ls = _sequence(ls)
     for start in range(0, len(ls), _WALK_TERMS):
         run = ls[start:start + _WALK_TERMS]
-        _check_trial(min(run))
-        re, im = zip(*[_complete_mean(N % l, l) for l in run])
-        yield run, list(re), list(im), run
+        _check_trial(_least(run))
+        ts = list(map(N.__mod__, run))
+        re, im = zip(*map(_complete_mean, ts, run))
+        yield run, ts, list(re), list(im), list(run)
 
 
 def evaluate_many(N: int, ls: Iterable[int], spec: SumSpec) -> Iterator[SumValue]:
     """evaluate(N, l, spec) for each l in ls, in order, block by block."""
     return (
         SumValue(re, im, count)
-        for _, res, ims, counts in _mean_columns(N, ls, spec)
+        for _, _, res, ims, counts in _mean_columns(N, ls, spec)
         for re, im, count in zip(res, ims, counts)
     )
 

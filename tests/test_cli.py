@@ -23,9 +23,8 @@ from gaussfactor import iter_curlicue_magnitudes
 from gaussfactor.cli import (
     RESULT_HEADER,
     ResultRow,
+    Table,
     ValidationError,
-    emit_csv,
-    emit_json,
     main,
     parse_result_csv,
 )
@@ -95,6 +94,16 @@ def tables(draw):
     header = draw(st.lists(st.text(), min_size=1, max_size=5, unique=True))
     columns = [draw(st.sampled_from([*CELL_KINDS, st.one_of(CELL_KINDS)])) for _ in header]
     return header, draw(st.lists(st.tuples(*columns), max_size=6))
+
+
+def emit_csv(header, rows):
+    """cli.emit_csv of the table of these rows."""
+    return cli.emit_csv(header, Table.of_rows(len(header), rows))
+
+
+def emit_json(header, rows):
+    """cli.emit_json of the table of these rows."""
+    return cli.emit_json(header, Table.of_rows(len(header), rows))
 
 
 def outcome(emit, header, rows):
@@ -555,8 +564,8 @@ class TestExitCodes:
 
     def test_address_space_limit_is_a_resource_error(self):
         # the child's own address space is capped at what importing the CLI
-        # and numpy takes, plus 64 MiB; the list of 10**8 trial factors a
-        # scan forms first asks for far more, so it fails at once
+        # and numpy takes, plus 64 MiB; a scan keeps its table until its last
+        # row, and a table of 10**8 rows outgrows that long before the end
         resource = pytest.importorskip("resource")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         peak = subprocess.run(

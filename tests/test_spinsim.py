@@ -199,7 +199,8 @@ class TestLevelKernel:
         ), label="N, lo")
         ls, ms = range(lo, lo + trains), range(length)
         c, s = math.cos(theta / 2), math.sin(theta / 2)
-        blocks = ((c, s, block) for block in _blocks._lockstep_phases(N, ls, order, ms))
+        phases = _blocks._lockstep_phases([N % l for l in ls], ls, order, ms)
+        blocks = ((c, s, block) for block in phases)
         got = _blocks._train_rotations(blocks, trains)
         for l, a, b in zip(ls, *got):
             pulses = ((c, s, phase) for phase in sums._residue_phases(N, l, order, ms))

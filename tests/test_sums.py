@@ -357,7 +357,7 @@ def scalar_mean(N: int, l: int, n: int, ms) -> SumValue:
 
 def residue_means(N: int, ls, n: int, ms):
     """The batched kernel's one-shot sums, normalized as evaluate_many normalizes them."""
-    for _, res, ims in sums._residue_sums(N, ls, n, ms):
+    for _, _, res, ims in sums._residue_sums(N, ls, n, ms):
         yield from (SumValue(re / len(ms), im / len(ms), len(ms)) for re, im in zip(res, ims))
 
 
@@ -531,11 +531,24 @@ def blocked_curlicue_phases(eps: float, n: int, ms) -> list[str]:
     return hexes(np.concatenate(list(_blocks._curlicue_phases(eps, n, ms))).tolist())
 
 
+def lockstep_phases(N: int, ls, n: int, ms):
+    """_blocks._lockstep_phases of the walks over ms, one per l of ls, for target N."""
+    return _blocks._lockstep_phases([N % l for l in ls], ls, n, ms)
+
+
 def lockstep_partials(N: int, ls, n: int, ms) -> list[list[tuple[float, float]]]:
-    """The lockstep walks' correctly rounded partial sums, one list per l."""
+    """The lockstep walks' correctly rounded partial sums, one list per l.
+
+    Each sub-block's rows are rounded at once, as _Sums.last and
+    _Sums.partials round them, and the rows past the block's size dropped.
+    """
     rows = []
-    for block in _blocks._walk(_blocks._lockstep_phases(N, ls, n, ms)):
-        rows += [[block.rounded(i, c) for c in range(len(ls))] for i in range(block.size)]
+    for block in _blocks._walk(lockstep_phases(N, ls, n, ms)):
+        parts = []
+        for s in range(block.limbs.shape[1]):
+            for row in block._rounded(s, slice(None), slice(None)).tolist():
+                parts.append(list(zip(row[:len(ls)], row[len(ls):])))
+        rows += parts[:block.size]
     return [list(walk) for walk in zip(*rows)]
 
 
@@ -680,10 +693,10 @@ class TestBlockedWalks:
 
     def test_lockstep_blocks_hold_at_most_block_terms(self):
         ls = range(1299000, 1300400)
-        shapes = [b.shape for b in _blocks._lockstep_phases(N12, ls, 2, range(100))]
+        shapes = [b.shape for b in lockstep_phases(N12, ls, 2, range(100))]
         assert shapes == [(5, 1400)] * 20
         assert 1400 * 5 <= sums._WALK_TERMS < 1400 * 6
-        blocks = _blocks._walk(_blocks._lockstep_phases(N12, ls, 2, range(100)))
+        blocks = _blocks._walk(lockstep_phases(N12, ls, 2, range(100)))
         assert [(b.size, b.walks) for b in blocks] == shapes
 
     def test_one_walk_streams_python_complex_terms(self):
@@ -709,7 +722,7 @@ class TestBlockedWalks:
             if walk == "one":
                 return [[(s.real, s.imag)] for _, s in sums._curlicue_walk(4e-5, 2, ms)]
             # three walks, on both sides of 2**32
-            phases = _blocks._lockstep_phases(N, ls, 3, ms)
+            phases = lockstep_phases(N, ls, 3, ms)
             return [[b.rounded(i, c) for c in range(3)] for b in _blocks._walk(phases)
                     for i in range(b.size)]
 
@@ -787,7 +800,7 @@ class TestExactPrefixSums:
             if blocked:
                 mp.setattr(sums, "_WALK_TERMS", 7)
                 mp.setattr(_blocks, "_SUB_TERMS", 7)
-            blocks = list(_blocks._walk(_blocks._lockstep_phases(N, LOCKSTEP_LS, n, ms)))
+            blocks = list(_blocks._walk(lockstep_phases(N, LOCKSTEP_LS, n, ms)))
         for c, l in enumerate(LOCKSTEP_LS):
             phases = list(sums._residue_phases(N, l, n, ms))
             terms = np.array([complex(math.cos(ph), math.sin(ph)) for ph in phases])
@@ -814,7 +827,7 @@ class TestExactPrefixSums:
         # whose sine is below 2**-55 and has bits below 2**-107; the column
         # beside it stays ordinary
         N, ls, ms = 2**61, [1299711, 2**61 - 1], range(40)
-        blocks = list(_blocks._walk(_blocks._lockstep_phases(N, ls, 2, ms)))
+        blocks = list(_blocks._walk(lockstep_phases(N, ls, 2, ms)))
         assert len(blocks[0].limbs) > 2
         for c, l in enumerate(ls):
             phases = list(sums._residue_phases(N, l, 2, ms))
@@ -823,6 +836,147 @@ class TestExactPrefixSums:
                 assert 0 < abs(terms[1].imag) < 2.0**-55
             for M in range(len(ms)):
                 assert walk_values(blocks, M, c) == fsum_at(terms, M)
+
+
+
+# _Sums lays a cell out in limbs 55 bits apart, the head in units of
+# 2**-_SHIFTS[0] = 8 and limb j in units of 2**-_SHIFTS[j]
+LIMB_BITS = 55
+
+
+@st.composite
+def exact_cells(draw, limbs: int):
+    """An exact value in units of 2**-_SHIFTS[limbs - 1], of a shape rounding must get right.
+
+    Zero, any value, ties at bit 53 of the magnitude with and without a
+    sticky bit below them (or a bit less than a tie), a run of ones that
+    fills every limb below the head with 2**55 - 1, and values below
+    2**-1022, ties among them, where the rounding takes its int fallback.
+    """
+    below = LIMB_BITS * (limbs - 1)  # the bits below the head
+    top = below + 60  # a head below 2**60
+    subnormal = _blocks._SHIFTS[limbs - 1] - 1022  # values below 2**-1022 have fewer bits
+    shapes = ["zero", "any", "tie", "ones"] + (["subnormal"] if subnormal > 0 else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape == "zero":
+        magnitude = 0
+    elif shape == "any":
+        magnitude = draw(st.integers(1, 2**draw(st.integers(1, top)) - 1))
+    elif shape == "tie":
+        # 53 bits, then the rounding bit set, then nothing or a sticky bit
+        low = draw(st.integers(0, top - 54))
+        magnitude = (2 * draw(st.integers(2**52, 2**53 - 1)) + 1) << low
+        if low and draw(st.booleans()):
+            magnitude += draw(st.sampled_from([1, -1])) << draw(st.integers(0, low - 1))
+    elif shape == "ones":
+        magnitude = (draw(st.integers(0, 2**59)) << below) + 2**below - 1
+    else:
+        magnitude = draw(st.integers(1, 2**subnormal - 1))
+        if draw(st.booleans()):  # a tie at the least subnormal's half
+            unit = subnormal - 52
+            magnitude = (2 * (magnitude >> unit) + 1) << unit - 1 if unit > 0 else magnitude
+    return -magnitude if draw(st.booleans()) else magnitude
+
+
+@st.composite
+def limb_blocks(draw):
+    """A one-row sub-block of _Sums, its cells drawn by exact_cells, and their values.
+
+    Each value is cut into carried limbs, then carries are undone at
+    random, 2**55 at a time, as limb sums leave them; each limb below the
+    head is then split into a head limb in about [0, 2**55) and a sum limb.
+    """
+    limbs = draw(st.integers(3, 21))
+    values = draw(st.lists(exact_cells(limbs), min_size=1, max_size=4))
+    heads = np.zeros((limbs, 1, len(values)), np.int64)
+    sums_ = np.zeros((limbs - 1, 1, 1, len(values)), np.int64)
+    for c, value in enumerate(values):
+        below = LIMB_BITS * (limbs - 1)
+        v = [value >> below]
+        v += [(value >> LIMB_BITS * (limbs - 1 - j)) % 2**LIMB_BITS for j in range(1, limbs)]
+        for j in range(1, limbs):
+            d = draw(st.sampled_from([0, 0, 1, -1, 64, -64]))
+            v[j] += d << LIMB_BITS
+            v[j - 1] -= d
+        heads[0, 0, c] = v[0]
+        for j in range(1, limbs):
+            head = draw(st.sampled_from([0, 2**LIMB_BITS - 1, -(2**8), 2**LIMB_BITS + 2**8]))
+            heads[j, 0, c] = head
+            sums_[j - 1, 0, 0, c] = v[j] - head
+    return _blocks._Sums(heads, sums_, 1, 0), values
+
+
+def random_limb_blocks():
+    """Sub-blocks of up to 3 rows whose heads and limbs are drawn in their whole ranges."""
+    def block(limbs, rows, cols, heads, sums_):
+        return _blocks._Sums(
+            np.array(heads, np.int64).reshape(limbs, 1, cols),
+            np.array(sums_, np.int64).reshape(limbs - 1, 1, rows, cols), rows, 0,
+        )
+
+    def shaped(limbs, rows, cols):
+        head_limb = st.one_of(st.integers(-(2**8), 2**LIMB_BITS + 2**8), st.just(2**LIMB_BITS - 1))
+        sum_limb = st.one_of(st.integers(-(2**62), 2**62), st.sampled_from([0, 2**LIMB_BITS - 1]))
+        heads = st.tuples(
+            st.lists(st.integers(-(2**60), 2**60), min_size=cols, max_size=cols),
+            st.lists(head_limb, min_size=(limbs - 1) * cols, max_size=(limbs - 1) * cols),
+        ).map(lambda parts: parts[0] + parts[1])
+        sums_ = st.lists(sum_limb, min_size=(limbs - 1) * rows * cols,
+                         max_size=(limbs - 1) * rows * cols)
+        return st.builds(block, st.just(limbs), st.just(rows), st.just(cols), heads, sums_)
+
+    return st.tuples(st.integers(3, 21), st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda shape: shaped(*shape)
+    )
+
+
+def exact_value(block, r: int, c: int) -> int:
+    """Cell (r, c) of a one-sub-block _Sums, exactly, in units of its last limb."""
+    unit = _blocks._SHIFTS[len(block.heads) - 1]
+    limbs = [int(block.heads[0, 0, c])]
+    limbs += [int(h) + int(x) for h, x in zip(block.heads[1:, 0, c], block.limbs[:, 0, r, c])]
+    return sum(x << unit - shift for x, shift in zip(limbs, _blocks._SHIFTS))
+
+
+class TestLimbRounding:
+    """Each cell rounds from its int64 limbs as exact / (1 << unit) does, by float.hex."""
+
+    @given(limb_blocks())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_shaped_values_round_as_python_ints(self, drawn):
+        block, values = drawn
+        unit = _blocks._SHIFTS[len(block.heads) - 1]
+        assert [exact_value(block, 0, c) for c in range(len(values))] == values
+        got = block._rounded(0, slice(None), slice(None))[0].tolist()
+        assert hexes(got) == hexes(value / (1 << unit) for value in values)
+
+    @given(random_limb_blocks())
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    def test_random_limbs_round_as_python_ints(self, block):
+        unit = _blocks._SHIFTS[len(block.heads) - 1]
+        rows, cols = block.limbs.shape[2:]
+        got = block._rounded(0, slice(None), slice(None)).tolist()
+        want = [[exact_value(block, r, c) / (1 << unit) for c in range(cols)] for r in range(rows)]
+        assert [hexes(row) for row in got] == [hexes(row) for row in want]
+
+    def test_only_values_below_2_to_the_minus_1022_take_the_int_division(self, monkeypatch):
+        calls = []
+
+        def spy(limbs, real=_blocks._exact_quotient):
+            calls.append(real(limbs))
+            return calls[-1]
+
+        monkeypatch.setattr(_blocks, "_exact_quotient", spy)
+        # every imaginary partial sum of this walk but the first, sin(0),
+        # is subnormal; every real one is near M + 1
+        partials = list(_blocks._curlicue_partials(5e-324, 2, range(1000)))
+        tiny = [s.imag for s in partials if 0 < abs(s.imag) < 2.0**-1022]
+        assert len(tiny) == 999 and partials[0].imag == 0.0
+        assert hexes(calls) == hexes(tiny)
+        calls.clear()
+        ls = range(1299000, 1299410)
+        rows = list(sums._mean_columns(N12, ls, SumSpec(FullTruncation(19))))
+        assert sum(len(run) for run, *_ in rows) == 410 and calls == []
 
 
 class TestSpecAndValue:

@@ -80,7 +80,8 @@ class TestOneShotSums:
     @settings(derandomize=True, max_examples=150, deadline=None)
     def test_residue_sums(self, N, ls, n, ms):
         def sums_of():
-            return [(run, hexes(re), hexes(im)) for run, re, im in sums._residue_sums(N, ls, n, ms)]
+            runs = sums._residue_sums(N, ls, n, ms)
+            return [(run, hexes(re), hexes(im)) for run, _, re, im in runs]
 
         assert same(each_execution(sums_of))
 
