@@ -480,9 +480,18 @@ def _load_figure_defaults(path: str | None) -> dict[str, Any]:
         raise ValidationError(f"--config: not valid JSON ({exc})") from None
 
 
+def _config_terms(truncation: Any, key: str) -> range:
+    """m = 0..truncation for a figure's config key; a truncation out of range exits 1."""
+    try:
+        return FullTruncation(truncation).terms(0)
+    except ValueError as exc:
+        # worded as the strategies word range errors, named by its key
+        raise ValidationError(f"{key} {str(exc).partition(' ')[2]}") from None
+
+
 def _magnitude_table(max_truncation: int, series: list[tuple[Any, float, int]]) -> Table:
     """Rows [key, M, |s_M(eps)|] for M = 0..max_truncation of each (key, eps, order)."""
-    Ms = range(max_truncation + 1)
+    Ms = _config_terms(max_truncation, "max_truncation")
     table = Table(3)
     for key, eps, order in series:
         table.extend((repeat(key, len(Ms)), Ms, _curlicue_magnitudes(eps, order, Ms)))
@@ -507,7 +516,7 @@ def _figure_1(cfg: dict[str, Any]) -> tuple[list[str], Table]:
 
 
 def _figure_2(cfg: dict[str, Any]) -> tuple[list[str], Table]:
-    walks = [(f"M{M}", range(M + 1)) for M in cfg["truncations"]]
+    walks = [(f"M{M}", _config_terms(M, "truncations")) for M in cfg["truncations"]]
     names = {**_CONFIG_NAMES, "count": "random_count", "m_max": "random_m_max",
              "seed": "random_seed"}
     draw = _sum_spec(

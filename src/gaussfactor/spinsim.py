@@ -293,7 +293,7 @@ def _readings(
                 "expect visible deviation from the analytic sum",
                 stacklevel=3,
             )
-        _check_phase_args(N, min(run), spec.order)
+        _check_phase_args(N, sums._least(run), spec.order)
         cos, sin = math.cos(theta / 2), math.sin(theta / 2)
         ts = list(map(N.__mod__, run))
         if len(run) * len(terms) <= sums._SCALAR_TERMS:

@@ -20,10 +20,9 @@ imported.
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, count, repeat
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import _blocks
@@ -78,8 +77,9 @@ class FullTruncation:
     truncation: int
 
     def __post_init__(self) -> None:
-        if self.truncation < 0:
-            raise ValueError(f"truncation must be >= 0, got {self.truncation}")
+        # truncation + 1 terms must fit a len()
+        if not 0 <= self.truncation < sys.maxsize:
+            raise ValueError(f"truncation must be in [0, {sys.maxsize}), got {self.truncation}")
 
     def terms(self, l: int) -> range:
         """m = 0..truncation, whatever l."""
@@ -238,72 +238,48 @@ def _exact_walk(a: int, q: int, n: int, ms: Iterable[int]) -> Iterator[tuple[flo
         yield c, s, re / _ONE, im / _ONE
 
 
-# Float prefix sums of M + 1 terms in [-1, 1], added in order, lie within
-# M * (M + 1) * 2**-53 of the exact sums, and the correctly rounded sums
-# within (M + 1) * 2**-53 of them.  So a magnitude over M + 1 formed from
-# the float sums lies within sqrt(2) * (M + 1) * 2**-53 of the one formed
-# from the rounded sums, before a few ulps of forming each, and one more
-# than _NEAR_UNIT * (M + 1) from the bar is on the same side either way.
-_NEAR_UNIT = 2.0**-45
+def _exact_magnitudes(a: int, q: int, n: int, ms: Iterable[int]) -> Iterator[float]:
+    """|s_M| of the walk over _phases(a, q, n, ms), for M = 0, 1, 2, ... in order.
 
-
-def _suppressed(cos: list[float], sin: list[float], bar: float) -> list[bool]:
-    """Whether |s_M| <= bar for each M < len(cos), for the walk with these terms.
-
-    |s_M| is math.hypot of the correctly rounded sums of the first M + 1
-    terms over M + 1.  It is decided on float prefix sums, and again by
-    fsum where those lie within _NEAR_UNIT * (M + 1) of the bar.
+    math.hypot of _exact_walk's correctly rounded sums over M + 1.
     """
-    mags = map(operator.truediv, map(math.hypot, accumulate(cos), accumulate(sin)), count(1))
-    return [
-        mag <= bar if abs(mag - bar) > _NEAR_UNIT * (M + 1)
-        else math.hypot(math.fsum(cos[:M + 1]), math.fsum(sin[:M + 1])) / (M + 1) <= bar
-        for M, mag in enumerate(mags)
-    ]
+    walk = _exact_walk(a, q, n, ms)
+    return (math.hypot(re, im) / k for k, (*_, re, im) in enumerate(walk, 1))
 
 
 def _first_suppressed_M(
-    walks: int, ms: range, phases: Callable[[range], Iterable[Iterable[float]]],
-    blocks: Callable[[], Iterable], bar: float,
+    walks: list[tuple[int, int]], n: int, ms: range, blocks: Callable[[], Iterable], bar: float
 ) -> int | None:
-    """First M at which every one of the walks has |s_M| <= bar, or None once ms ends.
+    """First M at which every walk has |s_M| <= bar, or None once ms ends.
 
-    The walks run over ms in lockstep, their terms exp(i * phase), and
-    s_M is the mean of a walk's first M + 1 terms, its magnitude math.hypot
-    of the correctly rounded sums over M + 1.  The first M, up to
-    _SCALAR_TERMS terms in all, are decided here, from phases(the first
-    m), the phases of each walk in turn.  If none of them is the answer,
-    _blocks decides every M by the same rule, from blocks(), the numpy
-    phase blocks of the same walks over ms.
+    Each walk (a, q) runs over _phases(a, q, n, ms), all of them in
+    lockstep, and s_M is the mean of a walk's first M + 1 terms, its
+    magnitude math.hypot of the correctly rounded sums over M + 1.  The
+    first M, up to _SCALAR_TERMS terms in all, are decided here from
+    _exact_magnitudes, a term of each walk at a time.  If none of them is
+    the answer, _blocks decides every M by the same rule, from blocks(),
+    the numpy phase blocks of the same walks over ms.
     """
-    head = ms[:_SCALAR_TERMS // walks]
+    head = ms[:_SCALAR_TERMS // len(walks)]
     if head:
-        terms = []
-        for column in map(list, phases(head)):
-            terms += [list(map(math.cos, column)), list(map(math.sin, column))]
-        below = map(all, zip(*map(_suppressed, terms[::2], terms[1::2], repeat(bar))))
-        M = next(compress(count(), below), None)
-        if M is not None or len(head) == len(ms):
+        mags = zip(*(_exact_magnitudes(a, q, n, head) for a, q in walks))
+        M = next((M for M, column in enumerate(mags) if max(column) <= bar), None)
+        if M is not None or not ms[len(head):]:
             return M
     return _blocks._first_suppressed(_blocks._walk(blocks()), bar)
 
 
 def _curlicue_suppressed(eps: float, n: int, ms: range, bar: float) -> int | None:
     """_first_suppressed_M of the one curlicue walk over ms; eps and n are checked first."""
-    p, q = _curlicue_ratio(eps, n)
-    return _first_suppressed_M(
-        1, ms, lambda head: [_phases(p, q, n, head)],
-        lambda: _blocks._curlicue_phases(eps, n, ms), bar,
-    )
+    walks = [_curlicue_ratio(eps, n)]
+    return _first_suppressed_M(walks, n, ms, lambda: _blocks._curlicue_phases(eps, n, ms), bar)
 
 
 def _residue_suppressed(N: int, ls: Sequence[int], n: int, ms: range, bar: float) -> int | None:
     """_first_suppressed_M of the residue walks of N over ms, one per l of ls, in lockstep."""
     ts = list(map(N.__mod__, ls))
-    return _first_suppressed_M(
-        len(ls), ms, lambda head: (_phases(2 * t, l, n, head) for t, l in zip(ts, ls)),
-        lambda: _blocks._lockstep_phases(ts, ls, n, ms), bar,
-    )
+    walks = [(2 * t, l) for t, l in zip(ts, ls)]
+    return _first_suppressed_M(walks, n, ms, lambda: _blocks._lockstep_phases(ts, ls, n, ms), bar)
 
 
 def _sequence(ls: Iterable[int]) -> Sequence[int]:
@@ -514,8 +490,7 @@ def _curlicue_magnitudes(eps: float, n: int, ms: Sequence[int]) -> Iterator[floa
     """
     p, q = _curlicue_ratio(eps, n)
     if _short(ms):
-        walk = _exact_walk(p, q, n, ms)
-        return (math.hypot(re, im) / k for k, (*_, re, im) in enumerate(walk, 1))
+        return _exact_magnitudes(p, q, n, ms)
     partials = _blocks._curlicue_partials(eps, n, ms)
     return (math.hypot(s.real, s.imag) / k for k, s in enumerate(partials, 1))
 

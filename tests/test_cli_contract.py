@@ -6,6 +6,7 @@ non-ASCII digits, empty strings and reversed windows; figure configs are
 built the same way and written to a file.  Sizes are capped so that each
 example stays fast: at most 50 terms, 5 trial factors per window, an
 --m-cap of 100, and complete sums only over l up to 1009 or past the cap.
+Truncations alone also draw 2**63 - 1 and 2**64, which must be refused.
 """
 import contextlib
 import io
@@ -36,7 +37,10 @@ WINDOW = pick(
      "١:٣", *ODD],
 )
 ORDER = pick(["2", "3", "5"], ["1", HUGE, *ODD])
-SMALL = pick(["1", "3", "50"], ODD)  # truncation, count, --m-cap
+SMALL = pick(["1", "3", "50"], ODD)  # count and --m-cap
+# M + 1 terms must fit a len(): a truncation from 2**63 - 1 up is refused
+# before any term is summed, so it is drawn often
+TRUNCATION = st.one_of(SMALL, SMALL, st.sampled_from([str(2**63 - 1), HUGE]))
 M_MAX = pick(["9", "1000", str(2**64 - 1)], [HUGE, *ODD])
 SEED = pick(["7", str(2**64 - 1)], [HUGE, *ODD])
 THETA = pick(["0.0025", "1e-300"], ["3", *ODD])
@@ -67,14 +71,14 @@ def command(name, *parts):
 STRATEGY = st.tuples(
     flag("--order", ORDER),
     st.one_of(
-        flag("--truncation", SMALL, required=True),
+        flag("--truncation", TRUNCATION, required=True),
         st.tuples(
             flag("--count", SMALL, True), flag("--m-max", M_MAX, True), flag("--seed", SEED)
         ).map(flat),
         st.just(["--complete"]),
         # any mix, mostly not exactly one strategy
         st.tuples(
-            flag("--truncation", SMALL), flag("--count", SMALL), flag("--m-max", M_MAX),
+            flag("--truncation", TRUNCATION), flag("--count", SMALL), flag("--m-max", M_MAX),
             st.sampled_from([[], ["--complete"]]),
         ).map(flat),
     ),
@@ -100,7 +104,8 @@ ARGV = st.one_of(
 
 # config values: JSON of the wrong kind rides along with the right one
 BAD = [-1, 1.5, True, None, "3", math.inf, math.nan, [], {}]
-COUNT = pick([0, 1, 3, 50], BAD, 6)  # truncations and counts stay small
+COUNT = pick([0, 1, 3, 50], BAD, 6)  # counts stay small
+CFG_TRUNCATION = pick([0, 1, 3, 50], [2**63 - 1, 2**64, *BAD], 6)
 BIG = pick([0, 7, 1000, 2**64 - 1], [2**64, *BAD], 6)  # seeds and m_max
 CFG_ORDER = pick([2, 3, 5], [1, 2**64, *BAD], 6)
 CFG_EPS = pick([0.01, 4e-05, 0.5, 1, -0.5, 1e-300], [0, 5, "0.01", *BAD], 6)
@@ -111,15 +116,16 @@ CFG_WINDOW = pick(
      [10**7 + 1, 10**7 + 5]],
     6,
 )
-TRUNCATED = st.fixed_dictionaries({"order": CFG_ORDER, "truncation": COUNT})
+TRUNCATED = st.fixed_dictionaries({"order": CFG_ORDER, "truncation": CFG_TRUNCATION})
 FIGURE = {
     "1": st.fixed_dictionaries(
         {"order": CFG_ORDER, "epsilons": st.lists(CFG_EPS, max_size=3),
-         "max_truncation": COUNT}
+         "max_truncation": CFG_TRUNCATION}
     ),
     "2": st.fixed_dictionaries(
-        {"epsilon": CFG_EPS, "order": CFG_ORDER, "truncations": st.lists(COUNT, max_size=3),
-         "random_count": COUNT, "random_m_max": BIG, "random_seed": BIG}
+        {"epsilon": CFG_EPS, "order": CFG_ORDER,
+         "truncations": st.lists(CFG_TRUNCATION, max_size=3), "random_count": COUNT,
+         "random_m_max": BIG, "random_seed": BIG}
     ),
     "3": st.fixed_dictionaries(
         {"N": CFG_N, "window": CFG_WINDOW, "upper": TRUNCATED, "lower": TRUNCATED,
@@ -131,7 +137,7 @@ FIGURE = {
     ),
     "5": st.fixed_dictionaries(
         {"epsilon": CFG_EPS, "orders": st.lists(CFG_ORDER, max_size=3),
-         "max_truncation": COUNT}
+         "max_truncation": CFG_TRUNCATION}
     ),
 }
 CONFIG = st.sampled_from(sorted(FIGURE)).flatmap(

@@ -139,6 +139,14 @@ class TestWalks:
         got = each_execution(lambda: min_suppression_M(1e-4, threshold=threshold, m_cap=50))
         assert got == [5] * len(SIZES)
 
+    def test_caps_past_len(self):
+        # m = 0..2**64 has no len(); each search still ends at its answer
+        def required():
+            return (min_suppression_M(1e-6, m_cap=2**64),
+                    scaling_study([(10403, (2, 101))], 2, m_cap=2**64)[0].required_M)
+
+        assert each_execution(required) == [(932, 9)] * len(SIZES)
+
     @given(
         N=st.sampled_from([10403, N12, N17]),
         lo=st.one_of(st.integers(2, 2000), st.integers(1299690, 1299720),
